@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import AbstainError, InputError, ModelError
-from .genus import g_i, g_i_sorted
+from .genus import g_i
 from .hrr import h0_certified
 from .variety import DivisorClass, VarietyData, c2_pair, intersection_number
 
@@ -77,7 +77,7 @@ def difference_rhs(req: DifferenceRequest) -> int:
             continue
         else:
             for combo in combinations(range(m), t):
-                total += g_i_sorted(v, s, [bigs[k] for k in combo] + [nef])
+                total += g_i(v, s, [bigs[k] for k in combo] + [nef])
     for s in range(n - 1):
         total -= comb(m - 1, n - s - 2) * v.hodge[s]
     return total
@@ -105,7 +105,7 @@ def jump_rhs(v: VarietyData, ell: DivisorClass, m: int) -> int:
         raise InputError(f"m must be at least 2, got {m}")
     kl = v.canonical + ell
     partner = (m - 2) * v.canonical + (m - 1) * ell
-    return g_i(v, 3, [kl]) + g_i_sorted(v, 2, [kl, partner]) - v.hodge[2]
+    return g_i(v, 3, [kl]) + g_i(v, 2, [kl, partner]) - v.hodge[2]
 
 
 def multiple_lower_bound(m: int) -> int:

@@ -170,53 +170,61 @@ def cmd_bounds(args) -> int:
     return _finish(report, args)
 
 
+def _add_global_flags(parser: argparse.ArgumentParser, fmt: str, abstain: str) -> None:
+    parser.add_argument("--format", choices=("table", "json", "csv"), default=fmt)
+    parser.add_argument(
+        "--abstain",
+        choices=("fail", "warn"),
+        default=abstain,
+        help="whether abstained checks fail the run (exit 3) or only warn",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="secgenus",
         description="Exact sectional-genus and adjoint-bundle computations "
         "over numerical variety models.",
     )
-    parser.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    parser.add_argument(
-        "--abstain",
-        choices=("fail", "warn"),
-        default="warn",
-        help="whether abstained checks fail the run (exit 3) or only warn",
-    )
+    _add_global_flags(parser, "table", "warn")
+    # The same flags after the subcommand; a suppressed default never
+    # overwrites a value given before it.
+    common = argparse.ArgumentParser(add_help=False)
+    _add_global_flags(common, argparse.SUPPRESS, argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_chi = sub.add_parser("chi", help="Euler characteristic of a divisor class")
+    p_chi = sub.add_parser("chi", help="Euler characteristic of a divisor class", parents=[common])
     p_chi.add_argument("--variety", required=True)
     p_chi.add_argument("--divisor", required=True)
     p_chi.add_argument("--expand", action="store_true", help="binomial coefficients of chi(tD)")
     p_chi.set_defaults(func=cmd_chi)
 
-    p_gen = sub.add_parser("genus", help="sectional geometric genus g_i")
+    p_gen = sub.add_parser("genus", help="sectional geometric genus g_i", parents=[common])
     p_gen.add_argument("--variety", required=True)
     p_gen.add_argument("-i", dest="index", type=int, required=True)
     p_gen.add_argument("-L", dest="bundle", action="append", help="repeat once per bundle")
     p_gen.set_defaults(func=cmd_genus)
 
-    p_ver = sub.add_parser("verify", help="run a verification suite")
+    p_ver = sub.add_parser("verify", help="run a verification suite", parents=[common])
     p_ver.add_argument("--suite", default="all", choices=suites.SUITE_NAMES + ("all",))
     p_ver.add_argument("--seed", type=int, default=7)
     p_ver.add_argument("--draws", type=int, default=25)
     p_ver.add_argument("--m-max", type=int, default=10)
     p_ver.set_defaults(func=cmd_verify)
 
-    p_semi = sub.add_parser("semigroup", help="numerical semigroup utilities")
+    p_semi = sub.add_parser("semigroup", help="numerical semigroup utilities", parents=[common])
     p_semi.add_argument("--set", required=True, help="comma-separated generators, e.g. 4,5")
     p_semi.add_argument("--bound", type=int, default=60)
     p_semi.add_argument("--threshold", action="store_true")
     p_semi.add_argument("--coin", type=int, default=None, help="solve p*i + q*j = value")
     p_semi.set_defaults(func=cmd_semigroup)
 
-    p_cls = sub.add_parser("classify", help="adjunction classification label")
+    p_cls = sub.add_parser("classify", help="adjunction classification label", parents=[common])
     p_cls.add_argument("--variety", required=True)
     p_cls.add_argument("--L", dest="polarization", required=True)
     p_cls.set_defaults(func=cmd_classify)
 
-    p_bnd = sub.add_parser("bounds", help="non-vanishing bound report")
+    p_bnd = sub.add_parser("bounds", help="non-vanishing bound report", parents=[common])
     p_bnd.add_argument("--variety", required=True)
     p_bnd.add_argument("--L", dest="polarization", required=True)
     p_bnd.add_argument("--m-max", type=int, default=6)

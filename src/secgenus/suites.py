@@ -40,7 +40,7 @@ SUITE_NAMES = (
 
 @lru_cache(maxsize=1)
 def get_catalog() -> dict[str, VarietyData]:
-    """One shared catalog instance per process (keeps genus caches warm)."""
+    """One shared catalog instance per process."""
     return standard_catalog()
 
 

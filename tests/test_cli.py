@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -92,6 +93,34 @@ def test_verify_deterministic(capsys):
     _, out2, _ = run(capsys, "--format", "json", "verify", "--suite", "g0", "--seed", "5")
     assert out1 == out2
     json.loads(out1)  # round-trips
+
+
+# SHA-256 of the seed-7 `verify --suite all` JSON report.  A change that
+# alters the report on purpose updates this digest and says why.
+REPORT_SHA256_SEED_7 = "59195bee342ccfeb52797c990fa0239c820b95322e5f339ae653bec12f5714bc"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--format", "json", "verify", "--suite", "all", "--seed", "7"],
+        ["verify", "--suite", "all", "--format", "json"],  # the README line; seed 7 by default
+    ],
+)
+def test_verify_all_golden_report(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256_SEED_7
+
+
+def test_global_flags_in_either_position(capsys):
+    tail = ("verify", "--suite", "g0", "--seed", "5", "--draws", "3")
+    before = run(capsys, "--format", "csv", *tail)
+    after = run(capsys, *tail, "--format", "csv")
+    assert before == after
+    assert before[0] == 0 and before[1].startswith("name,inputs,expected,actual,pass")
+    code, _, _ = run(capsys, "classify", "--variety", "catalog:X6", "--L", "2H", "--abstain", "fail")
+    assert code == 3
 
 
 def test_verify_csv_format(capsys):

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -10,7 +12,8 @@ from secgenus.genus import (
     g2_adjoint_closed,
     g_i,
 )
-from secgenus.variety import DivisorClass, intersection_number
+from secgenus.hrr import chi_multi
+from secgenus.variety import DivisorClass, catalog_build, intersection_number
 
 
 def test_chi_h_values(p4, x6):
@@ -19,6 +22,41 @@ def test_chi_h_values(p4, x6):
     assert chi_H_i(x6, 4, []) == 2  # i = n falls back to chi(O)
     hp = p4.divisor("1H")
     assert chi_H_i(p4, 0, [hp] * 4) == 1  # top mixed coefficient is H^4
+
+
+def test_chi_h_matches_full_expansion(catalog):
+    # inclusion-exclusion over 2^k subsets against the all-ones coefficient of
+    # the interpolated (n+1)^k-point expansion; the two share only chi_divisor
+    rng = random.Random(4634)
+
+    def draw(g, lo, hi):
+        return DivisorClass(tuple(rng.randint(lo, hi) for _ in range(g)))
+
+    for v in catalog.values():
+        g = len(v.generators)
+        for i in range(v.dim):
+            k = v.dim - i
+            for trial in range(4):
+                bundles = [draw(g, -3, 3) for _ in range(k)]
+                if trial == 0:
+                    bundles[rng.randrange(k)] = v.zero()
+                elif trial == 1:  # one positive class, the rest negative
+                    bundles = [draw(g, 1, 3)] + [draw(g, -3, -1) for _ in range(k - 1)]
+                expected = chi_multi(v, bundles).coefficient((1,) * k)
+                assert chi_H_i(v, i, bundles) == expected, (v.name, i, bundles)
+                for order in (bundles[::-1], rng.sample(bundles, k)):
+                    assert chi_H_i(v, i, order) == expected, (v.name, i, order)
+
+
+def test_genus_keeps_no_reference_to_the_model():
+    v = catalog_build("hypersurface_in_P5", 6)
+    h = v.divisor("1H")
+    assert chi_H_i(v, 2, [h, h]) == 11
+    assert g_i(v, 1, [h, h, h]) == 10
+    model = weakref.ref(v)
+    del v
+    gc.collect()
+    assert model() is None
 
 
 def test_chi_h_arity_contract(x6):
