@@ -26,7 +26,7 @@ print()
 x6 = catalog["X6"]
 h = x6.divisor("1H")
 report = check_multiple_bound(x6, h, 8)
-print(report.to_report().to_table())
+print(report.to_table())
 
 print("second-multiple expression (must be >= 111/192):")
 for name in ("X6", "A4", "X7"):
@@ -36,7 +36,7 @@ for name in ("X6", "A4", "X7"):
 print()
 
 # Case dispatch on the declared kappa(K+L).
-print(nonvanishing_report(catalog["A4"], catalog["A4"].divisor("1L"), 6).to_report().to_table())
+print(nonvanishing_report(catalog["A4"], catalog["A4"].divisor("1L"), 6).to_table())
 
 # The c_2 lower bounds against nef classes; the second inequality is an
 # alternative branch and is reported without being asserted.

@@ -9,7 +9,6 @@ against independent section-count oracles.
 """
 
 from .adjoint import (
-    BoundReport,
     C2Check,
     CubicParams,
     DifferenceRequest,
@@ -45,15 +44,12 @@ from .semigroup import (
 )
 from .variety import (
     NEG_INF,
-    ConeDescriptor,
     DivisorClass,
     VarietyData,
     c2_pair,
     catalog_build,
     h0_exact,
     intersection_number,
-    is_ample,
-    is_nef,
     load_variety,
     save_variety,
     standard_catalog,

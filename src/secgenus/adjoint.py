@@ -10,11 +10,15 @@ specialisation to multiples of K + L, the quartic lower-bound expression
 for the second multiple, the recursion-based bound for all multiples,
 the second-Chern-class inequality checkers, and the cubic
 parametrisation used for three-dimensional images of adjoint fibrations.
+
+The bound checkers return a ``VerificationReport`` titled
+``bounds:<name>``.  Every model is a smooth model, so the c_2 checker
+abstains only when the positivity of its inputs cannot be certified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -22,6 +26,7 @@ from math import comb
 from .errors import AbstainError, InputError, ModelError
 from .genus import g_i
 from .hrr import h0_certified
+from .report import VerificationReport
 from .variety import DivisorClass, VarietyData, c2_pair, intersection_number
 
 
@@ -118,65 +123,35 @@ def multiple_lower_bound(m: int) -> int:
     return int(value)
 
 
-@dataclass
-class BoundRow:
-    kind: str
-    m: int
-    lhs: "int | Fraction | None"
-    rhs: "int | Fraction | None"
-    passed: bool | None  # None = abstained
-    certification: str = ""
-    note: str = ""
-
-    @property
-    def abstained(self) -> bool:
-        return self.passed is None
-
-
-@dataclass
-class BoundReport:
-    variety: str
-    polarization: str
-    rows: list[BoundRow] = field(default_factory=list)
-    annotations: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed is not False for row in self.rows)
-
-    @property
-    def abstentions(self) -> list[BoundRow]:
-        return [row for row in self.rows if row.abstained]
-
-    def failures(self) -> list[BoundRow]:
-        return [row for row in self.rows if row.passed is False]
-
-    def to_report(self):
-        from .report import VerificationReport
-
-        report = VerificationReport(title=f"bounds:{self.variety}")
-        for row in self.rows:
-            report.add(
-                f"{row.kind}[m={row.m}]",
-                row.passed,
-                expected=f">= {row.rhs}" if row.rhs is not None else "",
-                actual=row.lhs if row.lhs is not None else "(abstained)",
-                inputs={"variety": self.variety, "L": self.polarization, "m": row.m},
-                note=row.note or row.certification,
-            )
-        report.annotations.extend(self.annotations)
-        return report
+def _add_bound(
+    report: VerificationReport,
+    v: VarietyData,
+    ell: DivisorClass,
+    kind: str,
+    m: int,
+    lhs: int | None = None,
+    rhs: int | None = None,
+    note: str = "",
+) -> None:
+    """One ``kind[m=...]`` check asserting lhs >= rhs; abstained when lhs is None."""
+    report.add(
+        f"{kind}[m={m}]",
+        None if lhs is None else lhs >= rhs,
+        expected="" if rhs is None else f">= {rhs}",
+        actual="(abstained)" if lhs is None else lhs,
+        inputs={"variety": v.name, "L": v.divisor_string(ell), "m": m},
+        note=note,
+    )
 
 
-def _h0_multiple(v: VarietyData, kl: DivisorClass, t: int) -> tuple[int, str]:
-    return h0_certified(v, t * kl)
-
-
-def check_multiple_bound(v: VarietyData, ell: DivisorClass, m_max: int) -> BoundReport:
+def check_multiple_bound(v: VarietyData, ell: DivisorClass, m_max: int) -> VerificationReport:
     """Verify the recursion-based lower bound on h^0(m(K+L)) for m = 2..m_max.
 
     Requires declared kappa(X) >= 0 and K + L nef.  Also checks the proof
     recursion F(t) - F(t-1) >= (t-1)^2 with F(t) the consecutive jump.
+    The report is titled ``bounds:<name>`` with one ``h0-bound[m=...]`` or
+    ``recursion[m=...]`` check per row; a row's certification route is its
+    note.
     """
     if v.kappa_x is None:
         raise AbstainError(f"kappa(X) undeclared on {v.name}")
@@ -186,39 +161,26 @@ def check_multiple_bound(v: VarietyData, ell: DivisorClass, m_max: int) -> Bound
     if not v.is_nef(kl):
         raise InputError(f"K + L is not nef on {v.name} for L = {v.divisor_string(ell)}")
 
-    report = BoundReport(variety=v.name, polarization=v.divisor_string(ell))
+    report = VerificationReport(title=f"bounds:{v.name}")
     counts: dict[int, int] = {}
     routes: dict[int, str] = {}
     for t in range(1, m_max + 1):
         try:
-            counts[t], routes[t] = _h0_multiple(v, kl, t)
+            counts[t], routes[t] = h0_certified(v, t * kl)
         except AbstainError as exc:
-            report.rows.append(
-                BoundRow("h0-bound", t, None, None, None, note=str(exc))
-            )
+            _add_bound(report, v, ell, "h0-bound", t, note=str(exc))
     for m in range(2, m_max + 1):
-        if m not in counts:
-            continue
-        bound = multiple_lower_bound(m)
-        report.rows.append(
-            BoundRow(
-                "h0-bound",
-                m,
-                counts[m],
-                bound,
-                counts[m] >= bound,
-                certification=routes[m],
+        if m in counts:
+            _add_bound(
+                report, v, ell, "h0-bound", m, counts[m], multiple_lower_bound(m), routes[m]
             )
-        )
     for t in range(3, m_max + 1):
         if not all(u in counts for u in (t, t - 1, t - 2)):
-            report.rows.append(BoundRow("recursion", t, None, None, None))
+            _add_bound(report, v, ell, "recursion", t)
             continue
         f_t = counts[t] - counts[t - 1]
         f_prev = counts[t - 1] - counts[t - 2]
-        report.rows.append(
-            BoundRow("recursion", t, f_t - f_prev, (t - 1) ** 2, f_t - f_prev >= (t - 1) ** 2)
-        )
+        _add_bound(report, v, ell, "recursion", t, f_t - f_prev, (t - 1) ** 2)
     return report
 
 
@@ -241,11 +203,13 @@ def second_jump_expression(v: VarietyData, ell: DivisorClass) -> Fraction:
     return Fraction(bracket, 192)
 
 
-def nonvanishing_report(v: VarietyData, ell: DivisorClass, m_max: int) -> BoundReport:
+def nonvanishing_report(v: VarietyData, ell: DivisorClass, m_max: int) -> VerificationReport:
     """Case dispatch on declared kappa(K+L): assert h^0(m(K+L)) > 0.
 
     kappa in {0,1,2}: all m >= 1; kappa = 3: m >= 2; kappa = 4: m >= 3.
-    With declared kappa(X) >= 0 the full bound suite is appended.
+    One ``nonvanishing[m=...]`` check per multiple, in a report titled
+    ``bounds:<name>``; with declared kappa(X) >= 0 the checks of
+    ``check_multiple_bound`` are appended.
     """
     kl = v.canonical + ell
     if not v.is_nef(kl):
@@ -267,20 +231,17 @@ def nonvanishing_report(v: VarietyData, ell: DivisorClass, m_max: int) -> BoundR
     else:
         m_start = 3
 
-    report = BoundReport(variety=v.name, polarization=v.divisor_string(ell))
+    report = VerificationReport(title=f"bounds:{v.name}")
     report.annotations.append(f"declared kappa(K+L) = {kappa_kl}; asserting m >= {m_start}")
     for m in range(m_start, m_max + 1):
         try:
-            count, route = _h0_multiple(v, kl, m)
+            count, route = h0_certified(v, m * kl)
         except AbstainError as exc:
-            report.rows.append(BoundRow("nonvanishing", m, None, None, None, note=str(exc)))
+            _add_bound(report, v, ell, "nonvanishing", m, note=str(exc))
             continue
-        report.rows.append(
-            BoundRow("nonvanishing", m, count, 1, count >= 1, certification=route)
-        )
+        _add_bound(report, v, ell, "nonvanishing", m, count, 1, route)
     if v.kappa_x is not None and v.kappa_x >= 0:
-        deeper = check_multiple_bound(v, ell, m_max)
-        report.rows.extend(deeper.rows)
+        report.extend(check_multiple_bound(v, ell, m_max))
         report.annotations.append(
             "kappa(X) >= 0: recursion bound suite included; for smooth 4-folds the "
             "smallest uniformly non-vanishing multiple is at most 6 (annotation only, "
@@ -311,10 +272,9 @@ def c2_lower_bound_check(
     The main inequality (coefficient -(1/8)(18 K L + 27 L^2)) is asserted
     by the suites; the alternative (-(1/3)(6 K L + 8 L^2)) is only
     reported, since the dichotomy it belongs to has a second branch that
-    numerical data cannot exclude.
+    numerical data cannot exclude.  Every model is a smooth model, so the
+    check abstains only when K + L or A1, A2 cannot be certified.
     """
-    if not v.smooth:
-        raise AbstainError(f"{v.name} is not declared smooth-model data")
     if not v.is_nef_and_big(v.canonical + ell):
         raise AbstainError(f"K + L not certified nef and big on {v.name}")
     if not (v.is_nef(a1) and v.is_nef(a2)):

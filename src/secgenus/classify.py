@@ -18,7 +18,6 @@ low-Kodaira sublist, which this toolkit does not interpret further.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import AbstainError, InputError
 from .report import VerificationReport
@@ -35,12 +34,11 @@ GROUP_HIGH_LABEL = "7.6-7.9"
 
 @dataclass(frozen=True)
 class DeclaredInvariants:
-    """Declared kappa(K + a L) values by twist a, plus optional refinements."""
+    """Declared kappa(K + a L) values by twist a, plus an optional fine type."""
 
     n: int
     kappa: dict[int, "int | float | None"] = field(default_factory=dict)
     fine_type: str | None = None
-    tau: Fraction | None = None  # declared nef value, echoed only
 
 
 @dataclass(frozen=True)

@@ -158,8 +158,7 @@ def cmd_classify(args) -> int:
 def cmd_bounds(args) -> int:
     v = resolve_variety(args.variety)
     ell = v.divisor(args.polarization)
-    bound_report = adjoint.nonvanishing_report(v, ell, args.m_max)
-    report = bound_report.to_report()
+    report = adjoint.nonvanishing_report(v, ell, args.m_max)
     expr = adjoint.second_jump_expression(v, ell)
     report.add(
         "second-multiple expression >= 111/192",
@@ -208,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite", parents=[common])
     p_ver.add_argument("--suite", default="all", choices=suites.SUITE_NAMES + ("all",))
     p_ver.add_argument("--seed", type=int, default=7)
-    p_ver.add_argument("--draws", type=int, default=25)
+    p_ver.add_argument("--draws", type=int, help="draw count of every suite that draws")
     p_ver.add_argument("--m-max", type=int, default=10)
     p_ver.set_defaults(func=cmd_verify)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .binpoly import BinBasisPoly, coefficients_from_oracle
 from .errors import AbstainError, InputError, ModelError
-from .variety import DivisorClass, VarietyData, c2_pair, intersection_number
+from .variety import DivisorClass, VarietyData, c2_pair, h0_exact, intersection_number
 
 
 def chi_divisor(v: VarietyData, d: DivisorClass) -> int:
@@ -100,8 +100,6 @@ def h0_certified(v: VarietyData, d: DivisorClass) -> tuple[int, str]:
     Returns the count together with the certification route used; raises
     AbstainError when neither route applies.
     """
-    from .variety import h0_exact
-
     try:
         return h0_via_vanishing(v, d), "kawamata-viehweg"
     except AbstainError:

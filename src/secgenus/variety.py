@@ -4,11 +4,17 @@ A variety is described purely by numbers: generator classes for the
 relevant part of the Neron-Severi group, the full degree-n intersection
 form on those generators, the canonical class, the pairings of the
 second Chern class against degree-(n-2) monomials, the Hodge numbers
-h^i(O), a nef-cone descriptor, and declared Kodaira dimensions.  Nothing
-is ever computed that the model cannot certify: Kodaira dimensions are
-declarations, and section counts come either from a Riemann-Roch
-computation under a certified vanishing hypothesis (see ``hrr``) or from
-an exact per-family oracle attached to catalog entries.
+h^i(O), and declared Kodaira dimensions.  Every model is a smooth model
+whose nef cone is the closed orthant spanned by its generators (a single
+ray when there is one generator).  Nothing is ever computed that the
+model cannot certify: Kodaira dimensions are declarations, and section
+counts come either from a Riemann-Roch computation under a certified
+vanishing hypothesis (see ``hrr``) or from an exact per-family oracle.
+
+``variety_from_json`` is the one input boundary: it accepts JSON integers
+only (never bools, floats or numeric strings) and an oracle tag only when
+it fits the model's dimension and generator count.  Past it, arithmetic
+trusts its inputs and coerces nothing.
 
 Intersection monomials are keyed by exponent tuples over the generator
 list, so symmetry of the form is structural.  A missing monomial is a
@@ -41,9 +47,6 @@ class DivisorClass:
 
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if len(other.coeffs) != len(self.coeffs):
             raise InputError("divisor classes live on different generator lists")
@@ -65,23 +68,6 @@ class DivisorClass:
 
 
 @dataclass(frozen=True)
-class ConeDescriptor:
-    """Nef-cone membership test: the generator orthant or a single ray."""
-
-    kind: str  # "orthant" or "ray"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("orthant", "ray"):
-            raise InputError(f"unknown cone kind {self.kind!r}")
-
-    def is_nef(self, coeffs: tuple[int, ...]) -> bool:
-        return all(c >= 0 for c in coeffs)
-
-    def is_ample(self, coeffs: tuple[int, ...]) -> bool:
-        return all(c > 0 for c in coeffs)
-
-
-@dataclass(frozen=True)
 class AdjointDeclaration:
     """Declared data for one polarization L: kappa(K + a L) by twist a."""
 
@@ -100,13 +86,10 @@ class VarietyData:
     canonical: DivisorClass
     c2_pairings: dict[tuple[int, ...], int]
     hodge: tuple[int, ...]
-    nef_cone: ConeDescriptor
     kappa_x: "int | float | None" = None
     kappa_adjoint: dict[str, AdjointDeclaration] = field(default_factory=dict)
     h0_oracle: str | None = None
     polarization: DivisorClass | None = None
-    smooth: bool = True
-    sre_declared: bool = True  # unchecked declaration, see module docstring
 
     def __post_init__(self) -> None:
         if not 1 <= self.dim <= 4:
@@ -119,8 +102,6 @@ class VarietyData:
             raise InputError("Hodge numbers must be non-negative")
         if len(self.canonical.coeffs) != len(self.generators):
             raise InputError("canonical class has wrong length")
-        if self.nef_cone.kind == "ray" and len(self.generators) != 1:
-            raise InputError("single-ray cone requires exactly one generator")
 
     # -- basic queries ---------------------------------------------------
 
@@ -152,10 +133,10 @@ class VarietyData:
     # -- positivity ------------------------------------------------------
 
     def is_nef(self, d: DivisorClass) -> bool:
-        return self.nef_cone.is_nef(d.coeffs)
+        return all(c >= 0 for c in d.coeffs)
 
     def is_ample(self, d: DivisorClass) -> bool:
-        return self.nef_cone.is_ample(d.coeffs)
+        return all(c > 0 for c in d.coeffs)
 
     def is_nef_and_big(self, d: DivisorClass) -> bool:
         """Nef with positive top self-intersection."""
@@ -255,14 +236,6 @@ def c2_pair(v: VarietyData, classes: list[DivisorClass]) -> int:
     return _expand(v.c2_pairings, classes, len(v.generators), f"{v.name} c2")
 
 
-def is_nef(v: VarietyData, d: DivisorClass) -> bool:
-    return v.is_nef(d)
-
-
-def is_ample(v: VarietyData, d: DivisorClass) -> bool:
-    return v.is_ample(d)
-
-
 # -- catalog ----------------------------------------------------------------
 
 
@@ -303,7 +276,6 @@ def _ray_entry(
         canonical=DivisorClass((k_coeff,)),
         c2_pairings=c2,
         hodge=hodge,
-        nef_cone=ConeDescriptor("ray"),
         kappa_x=_ray_kappa(k_coeff, dim),
         kappa_adjoint={f"1{gen}": decl},
         h0_oracle=oracle,
@@ -349,7 +321,6 @@ def _product_entry(name: str, a: int, b: int, oracle: str, fine_type: str | None
         canonical=DivisorClass((-(a + 1), -(b + 1))),
         c2_pairings=c2,
         hodge=(1, 0, 0, 0, 0),
-        nef_cone=ConeDescriptor("orthant"),
         kappa_x=NEG_INF,
         kappa_adjoint={"1a+1b": decl},
         h0_oracle=oracle,
@@ -615,15 +586,54 @@ def _kappa_to_json(value):
         return None
     if value == NEG_INF:
         return "-inf"
-    return int(value)
+    return value
+
+
+def _int(value, what: str) -> int:
+    """A JSON integer; bools, floats and strings are rejected, never coerced."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    return tuple(_int(x, what) for x in values)
 
 
 def _kappa_from_json(value):
     if value is None:
         return None
-    if value == "-inf" or value == NEG_INF:
+    if value == "-inf":
         return NEG_INF
-    return int(value)
+    return _int(value, "kappa")
+
+
+def _table_from_json(raw: dict, generators: tuple[str, ...], what: str) -> dict:
+    return {_monomial_from_string(k, generators): _int(val, what) for k, val in raw.items()}
+
+
+_ORACLE_SHAPES = {"p1xp3": (4, 2), "p2xp2": (4, 2), "abelian": (4, 1)}
+
+
+def _check_oracle(tag, dim: int, n_gens: int) -> None:
+    """The oracle tag must name a family with this dimension and generator count."""
+    if tag is None:
+        return
+    if not isinstance(tag, str):
+        raise InputError(f"oracle tag must be a string, got {tag!r}")
+    if re.fullmatch(r"p[1-9][0-9]*", tag):
+        shape = (int(tag[1:]), 1)
+    elif re.fullmatch(r"hypersurface:[0-9]+", tag) and int(tag.split(":")[1]) >= 2:
+        shape = (4, 1)
+    elif tag in _ORACLE_SHAPES:
+        shape = _ORACLE_SHAPES[tag]
+    else:
+        raise InputError(f"unknown oracle tag {tag!r}")
+    if shape != (dim, n_gens):
+        raise InputError(
+            f"oracle {tag!r} needs dim {shape[0]} with {shape[1]} generator(s), "
+            f"got dim {dim} with {n_gens}"
+        )
 
 
 def variety_to_json(v: VarietyData) -> dict:
@@ -646,7 +656,7 @@ def variety_to_json(v: VarietyData) -> dict:
             _monomial_to_string(m, v.generators): val for m, val in sorted(v.c2_pairings.items())
         },
         "hodge": list(v.hodge),
-        "nef_cone": v.nef_cone.kind,
+        "nef_cone": "ray" if len(v.generators) == 1 else "orthant",
         "kappa_X": _kappa_to_json(v.kappa_x),
         "kappa_adjoint": decls,
         "oracle": v.h0_oracle,
@@ -655,8 +665,16 @@ def variety_to_json(v: VarietyData) -> dict:
 
 
 def variety_from_json(data: dict) -> VarietyData:
+    """The schema boundary: a model from its JSON description, or an InputError."""
     try:
         generators = tuple(data["generators"])
+        dim = _int(data["dim"], "dim")
+        cone = data["nef_cone"]
+        if cone not in ("ray", "orthant"):
+            raise InputError(f"nef_cone must be 'ray' or 'orthant', got {cone!r}")
+        if cone == "ray" and len(generators) != 1:
+            raise InputError("a 'ray' nef cone needs exactly one generator")
+        _check_oracle(data.get("oracle"), dim, len(generators))
         decls = {}
         for key, raw in (data.get("kappa_adjoint") or {}).items():
             decls[key] = AdjointDeclaration(
@@ -666,25 +684,18 @@ def variety_from_json(data: dict) -> VarietyData:
         pol = data.get("polarization")
         return VarietyData(
             name=data["name"],
-            dim=int(data["dim"]),
+            dim=dim,
             generators=generators,
-            intersection_form={
-                _monomial_from_string(k, generators): int(val)
-                for k, val in data["intersections"].items()
-            },
-            canonical=DivisorClass(tuple(data["canonical"])),
-            c2_pairings={
-                _monomial_from_string(k, generators): int(val)
-                for k, val in (data.get("c2_pairings") or {}).items()
-            },
-            hodge=tuple(data["hodge"]),
-            nef_cone=ConeDescriptor(data["nef_cone"]),
+            intersection_form=_table_from_json(data["intersections"], generators, "intersection"),
+            canonical=DivisorClass(_ints(data["canonical"], "canonical")),
+            c2_pairings=_table_from_json(data.get("c2_pairings") or {}, generators, "c2 pairing"),
+            hodge=_ints(data["hodge"], "hodge number"),
             kappa_x=_kappa_from_json(data.get("kappa_X")),
             kappa_adjoint=decls,
             h0_oracle=data.get("oracle"),
-            polarization=DivisorClass(tuple(pol)) if pol else None,
+            polarization=DivisorClass(_ints(pol, "polarization")) if pol else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed variety description: {exc}") from exc
 
 

@@ -80,16 +80,16 @@ def test_criterion_03_recursion_bound():
     for name in ("X6", "A4"):
         v = catalog[name]
         report = check_multiple_bound(v, v.polarization, 10)
-        assert report.passed and not report.abstentions, report.to_report().to_table()
-        kinds = {(r.kind, r.m) for r in report.rows}
-        assert all(("h0-bound", m) in kinds for m in range(2, 11))
-        assert all(("recursion", t) in kinds for t in range(3, 11))
+        assert report.passed and not report.abstentions, report.to_table()
+        names = {c.name for c in report.checks}
+        assert all(f"h0-bound[m={m}]" in names for m in range(2, 11))
+        assert all(f"recursion[m={t}]" in names for t in range(3, 11))
     x6_rows = {
-        (r.kind, r.m): (r.lhs, r.rhs)
-        for r in check_multiple_bound(catalog["X6"], catalog["X6"].polarization, 4).rows
+        c.name: (c.actual, c.expected)
+        for c in check_multiple_bound(catalog["X6"], catalog["X6"].polarization, 4).checks
     }
-    assert x6_rows[("recursion", 3)] == (20, 4)
-    assert x6_rows[("recursion", 4)] == (35, 9)
+    assert x6_rows["recursion[m=3]"] == ("20", ">= 4")
+    assert x6_rows["recursion[m=4]"] == ("35", ">= 9")
     _ok(3, "h0 lower bound and recursion hold on X6 and A4 for m = 2..10")
 
 
@@ -172,8 +172,6 @@ def test_criterion_08_c2_inequality():
     rng = random.Random(SEED)
     checked = 0
     for v in entries:
-        if not v.smooth:
-            continue
         g = len(v.generators)
         for _ in range(25):
             ell = DivisorClass(tuple(rng.randint(1, 6) for _ in range(g)))

@@ -101,20 +101,35 @@ def test_multiple_lower_bound_values():
         multiple_lower_bound(1)
 
 
+def _bound_rows(report):
+    """(actual, expected) of every check, keyed by check name."""
+    return {c.name: (c.actual, c.expected) for c in report.checks}
+
+
 def test_check_multiple_bound_x6(x6):
     report = check_multiple_bound(x6, x6.divisor("1H"), 4)
     assert report.passed and not report.abstentions
-    rows = {(r.kind, r.m): (r.lhs, r.rhs) for r in report.rows}
-    assert rows[("h0-bound", 4)] == (126, 18)
-    assert rows[("recursion", 3)] == (20, 4)
-    assert rows[("recursion", 4)] == (35, 9)
+    rows = _bound_rows(report)
+    assert rows["h0-bound[m=4]"] == ("126", ">= 18")
+    assert rows["recursion[m=3]"] == ("20", ">= 4")
+    assert rows["recursion[m=4]"] == ("35", ">= 9")
 
 
 def test_check_multiple_bound_a4(a4):
     report = check_multiple_bound(a4, a4.divisor("1L"), 3)
     assert report.passed
-    rows = {(r.kind, r.m): (r.lhs, r.rhs) for r in report.rows}
-    assert rows[("h0-bound", 3)] == (81, 5)
+    rows = _bound_rows(report)
+    assert rows["h0-bound[m=3]"] == ("81", ">= 5")
+
+
+def test_check_multiple_bound_report_fields(x6):
+    report = check_multiple_bound(x6, x6.divisor("1H"), 3)
+    assert report.title == "bounds:X6" and report.annotations == []
+    assert [c.name for c in report.checks] == ["h0-bound[m=2]", "h0-bound[m=3]", "recursion[m=3]"]
+    first, _, recursion = report.checks
+    assert first.inputs == {"variety": "X6", "L": "1H", "m": "2"}
+    assert first.note == "kawamata-viehweg"  # the certification route
+    assert recursion.note == ""
 
 
 def test_check_multiple_bound_preconditions(p4, x6):
@@ -146,11 +161,19 @@ def test_second_jump_with_positive_canonical(catalog):
     assert value >= Fraction(111, 192)
 
 
+def _nonvanishing_counts(report):
+    return {
+        int(c.inputs["m"]): int(c.actual)
+        for c in report.checks
+        if c.name.startswith("nonvanishing[")
+    }
+
+
 def test_nonvanishing_x6(x6):
     report = nonvanishing_report(x6, x6.divisor("1H"), 6)
-    assert report.passed
-    counts = {r.m: r.lhs for r in report.rows if r.kind == "nonvanishing"}
-    assert counts == {3: 56, 4: 126, 5: 252, 6: 461}
+    assert report.passed and report.title == "bounds:X6"
+    assert _nonvanishing_counts(report) == {3: 56, 4: 126, 5: 252, 6: 461}
+    assert report.annotations[0] == "declared kappa(K+L) = 4; asserting m >= 3"
 
 
 def test_nonvanishing_p4_shifted(p4):
@@ -163,8 +186,7 @@ def test_nonvanishing_kappa_dispatch(catalog):
     x5 = catalog["X5"]
     report = nonvanishing_report(x5, x5.divisor("1H"), 6)
     # kappa(K+L) = 0: every multiple must have a section (h^0(0) = 1)
-    counts = {r.m: r.lhs for r in report.rows if r.kind == "nonvanishing"}
-    assert counts == {m: 1 for m in range(1, 7)}
+    assert _nonvanishing_counts(report) == {m: 1 for m in range(1, 7)}
     assert report.passed
 
 

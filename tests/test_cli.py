@@ -88,6 +88,36 @@ def test_verify_bounds_suite(capsys):
     assert "failed=0" in out
 
 
+def _total(capsys, *argv):
+    code, out, err = run(capsys, "--format", "json", "verify", *argv)
+    assert code == 0, err
+    return json.loads(out)["summary"]["total"]
+
+
+def test_verify_draws_reach_every_drawing_suite(capsys):
+    # 10 four-folds, each with one chi expansion and one parity check per draw
+    assert _total(capsys, "--suite", "integrality", "--draws", "1") == 20
+    assert _total(capsys, "--suite", "integrality", "--draws", "3") == 60
+    assert _total(capsys, "--suite", "closed", "--draws", "2") == 40
+    for suite in ("serre", "c2bound"):
+        assert _total(capsys, "--suite", suite, "--draws", "1") < _total(
+            capsys, "--suite", suite, "--draws", "6"
+        )
+
+
+def test_verify_default_draws_unchanged(capsys):
+    assert _total(capsys, "--suite", "integrality") == 160
+    assert _total(capsys, "--suite", "closed") == 200
+    assert _total(capsys, "--suite", "g0") == 25
+
+
+@pytest.mark.parametrize("suite", ["jumps", "bounds"])
+def test_verify_draws_rejected_where_nothing_is_drawn(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--draws", "3")
+    assert code == 2 and out == ""
+    assert "input error" in err and "draws nothing" in err
+
+
 def test_verify_deterministic(capsys):
     _, out1, _ = run(capsys, "--format", "json", "verify", "--suite", "g0", "--seed", "5")
     _, out2, _ = run(capsys, "--format", "json", "verify", "--suite", "g0", "--seed", "5")

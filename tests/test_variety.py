@@ -2,8 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secgenus.errors import AbstainError, InputError, ModelError
+from secgenus.suites import get_catalog
 from secgenus.variety import (
     NEG_INF,
     DivisorClass,
@@ -169,12 +172,12 @@ def test_divisor_formatting(p1xp3):
 
 
 def test_json_round_trip(tmp_path, catalog):
-    for name in ("P4", "X6", "P1xP3", "A4"):
-        v = catalog[name]
+    for name, v in catalog.items():
         path = tmp_path / f"{name}.json"
         save_variety(v, path)
         loaded = load_variety(path)
         assert variety_to_json(loaded) == variety_to_json(v)
+        assert variety_to_json(v)["nef_cone"] == ("ray" if len(v.generators) == 1 else "orthant")
         assert loaded.chi_o == v.chi_o
         assert loaded.kappa_adjoint == v.kappa_adjoint
 
@@ -213,3 +216,104 @@ def test_hodge_invariants_enforced():
                 "nef_cone": "ray",
             }
         )
+
+
+# -- the JSON boundary -------------------------------------------------------
+
+
+def _catalog_json(name: str) -> dict:
+    return json.loads(json.dumps(variety_to_json(get_catalog()[name])))
+
+
+def _set(blob: dict, path: tuple, value) -> None:
+    *parents, leaf = path
+    for key in parents:
+        blob = blob[key]
+    blob[leaf] = value
+
+
+@pytest.mark.parametrize(
+    "name, tag",
+    [
+        ("P2xP2", "p4"),  # right dimension, two generators
+        ("X6", "p2xp2"),
+        ("P3", "p4"),
+        ("P4", "p3"),
+        ("P3", "hypersurface:3"),  # hypersurfaces in P^5 are 4-folds
+        ("P2xP2", "abelian"),
+        ("X6", "hypersurface:1"),
+        ("X6", "sextic"),  # unknown tag
+        ("X6", 6),
+    ],
+)
+def test_json_rejects_oracle_mismatch(name, tag):
+    blob = _catalog_json(name)
+    blob["oracle"] = tag
+    with pytest.raises(InputError, match="oracle"):
+        variety_from_json(blob)
+
+
+def test_json_oracle_optional():
+    blob = _catalog_json("P2xP2")
+    blob["oracle"] = None
+    assert variety_from_json(blob).h0_oracle is None
+
+
+def test_json_nef_cone_values():
+    blob = _catalog_json("X6")
+    blob["nef_cone"] = "orthant"  # a one-generator orthant is the ray
+    assert variety_to_json(variety_from_json(blob))["nef_cone"] == "ray"
+    blob["nef_cone"] = "cone"
+    with pytest.raises(InputError, match="nef_cone"):
+        variety_from_json(blob)
+    blob = _catalog_json("P2xP2")
+    blob["nef_cone"] = "ray"
+    with pytest.raises(InputError, match="one generator"):
+        variety_from_json(blob)
+    del blob["nef_cone"]
+    with pytest.raises(InputError):
+        variety_from_json(blob)
+
+
+def _integer_paths(blob: dict) -> list[tuple]:
+    """Every field the schema requires to be a JSON integer (kappa: or "-inf")."""
+    paths = [("dim",), ("kappa_X",)]
+    paths += [(table, key) for table in ("intersections", "c2_pairings") for key in blob[table]]
+    paths += [(vec, i) for vec in ("canonical", "hodge", "polarization") for i in range(len(blob[vec]))]
+    paths += [
+        ("kappa_adjoint", key, "kappa", a)
+        for key, decl in blob["kappa_adjoint"].items()
+        for a in decl["kappa"]
+    ]
+    return paths
+
+
+_NOT_INT = st.one_of(st.floats(), st.booleans(), st.text(max_size=6), st.none())
+# null is an undeclared kappa and "-inf" a declared one; both are valid.
+_NOT_KAPPA = st.one_of(st.floats(), st.booleans(), st.text(max_size=6).filter(lambda s: s != "-inf"))
+
+
+@st.composite
+def _corrupted_field(draw):
+    name = draw(st.sampled_from(sorted(get_catalog())))
+    path = draw(st.sampled_from(_integer_paths(_catalog_json(name))))
+    is_kappa = path[0] in ("kappa_X", "kappa_adjoint")
+    return name, path, draw(_NOT_KAPPA if is_kappa else _NOT_INT)
+
+
+@given(_corrupted_field())
+@example(("X6", ("intersections", "H^4"), 6.9))  # was truncated to 6
+@example(("X6", ("canonical", 0), 0.7))  # was truncated to 0
+@example(("X6", ("hodge",), [True, 0, 0, 0, 1.5]))  # gave chi(O) = 2.5
+@example(("X6", ("c2_pairings", "H^2"), 90.0))
+@example(("P2xP2", ("dim",), "4"))
+@example(("X6", ("polarization", 0), True))
+@example(("A4", ("kappa_X",), float("-inf")))
+@example(("X6", ("kappa_adjoint", "1H", "kappa", "1"), "4"))
+@settings(max_examples=200, deadline=None)
+def test_fuzz_non_integer_field_raises_input_error(case):
+    name, path, value = case
+    blob = _catalog_json(name)
+    _set(blob, path, value)
+    with pytest.raises(InputError, match="JSON integer"):
+        variety_from_json(blob)
