@@ -1,11 +1,54 @@
+import dataclasses
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from secgenus.errors import AbstainError, InputError
+from secgenus.binpoly import coefficients_from_oracle
+from secgenus.errors import AbstainError, InputError, ModelError
 from secgenus.hrr import chi_divisor, chi_multi, h0_certified, h0_via_vanishing
-from secgenus.variety import DivisorClass, catalog_build, h0_exact, intersection_number
+from secgenus.suites import suite_integrality
+from secgenus.variety import (
+    DivisorClass,
+    c2_pair,
+    catalog_build,
+    h0_exact,
+    intersection_number,
+    validate,
+)
+
+
+def reference_chi(v, d: DivisorClass) -> Fraction:
+    """The Todd closed forms evaluated directly through the pairing functions.
+
+    Independent of the compiled polynomial; a Fraction, so a model whose
+    chi is not an integer shows it instead of raising.
+    """
+    n, k = v.dim, v.canonical
+    c1 = -k
+    if n == 1:
+        return v.chi_o + intersection_number(v, [d])
+    if n == 2:
+        dd = intersection_number(v, [d, d])
+        dk = intersection_number(v, [d, k])
+        return v.chi_o + Fraction(dd - dk, 2)
+    if n == 3:
+        scaled = (
+            2 * intersection_number(v, [d, d, d])
+            + 3 * intersection_number(v, [c1, d, d])
+            + intersection_number(v, [c1, c1, d])
+            + c2_pair(v, [d])
+        )
+        return v.chi_o + Fraction(scaled, 12)
+    scaled = (
+        intersection_number(v, [d, d, d, d])
+        + 2 * intersection_number(v, [c1, d, d, d])
+        + intersection_number(v, [c1, c1, d, d])
+        + c2_pair(v, [d, d])
+        + c2_pair(v, [c1, d])
+    )
+    return v.chi_o + Fraction(scaled, 24)
 
 
 def test_chi_p4_twists(p4):
@@ -122,3 +165,74 @@ def test_abelian_scaled_polarization():
     assert intersection_number(big, [ell] * 4) == 48
     assert chi_divisor(big, 2 * ell) == 32
     assert h0_exact(big, 2 * ell) == 32
+
+
+def _draw(rng, g, lo, hi):
+    return DivisorClass(tuple(rng.randint(lo, hi) for _ in range(g)))
+
+
+def test_compiled_chi_matches_reference(catalog):
+    assert len(catalog) == 13
+    rng = random.Random(2024)
+    for v in catalog.values():
+        g = len(v.generators)
+        for _ in range(40):
+            d = _draw(rng, g, -6, 6)
+            assert chi_divisor(v, d) == reference_chi(v, d), (v.name, d)
+        assert chi_divisor(v, v.zero()) == v.chi_o
+
+
+def test_chi_multi_matches_reference_interpolation(catalog):
+    # substitution and change of basis against Newton interpolation of the
+    # reference formula on the (n+1)^k grid
+    rng = random.Random(4634)
+    for v in catalog.values():
+        g = len(v.generators)
+        for arity in range(1, v.dim + 1):
+            bundles = [_draw(rng, g, -2, 2) for _ in range(arity)]
+
+            def reference(*point):
+                combined = v.zero()
+                for t, bundle in zip(point, bundles):
+                    combined = combined + t * bundle
+                return reference_chi(v, combined)
+
+            expected = coefficients_from_oracle(reference, arity, v.dim)
+            assert chi_multi(v, bundles).coeffs == expected.coeffs, (v.name, bundles)
+
+
+def test_wrong_length_class_rejected(catalog, x6):
+    p2xp2 = catalog["P2xP2"]
+    for v, d in ((x6, DivisorClass((1, 1))), (p2xp2, DivisorClass((1,))), (x6, DivisorClass(()))):
+        with pytest.raises(InputError, match="coordinates"):
+            chi_divisor(v, d)
+        with pytest.raises(InputError, match="coordinates"):
+            chi_multi(v, [v.polarization, d][: v.dim])
+
+
+def test_missing_monomial_names_it(catalog):
+    p2xp2 = catalog["P2xP2"]
+    form = {exps: val for exps, val in p2xp2.intersection_form.items() if exps != (4, 0)}
+    broken = dataclasses.replace(p2xp2, intersection_form=form)
+    with pytest.raises(ModelError, match=r"missing monomial \(4, 0\)"):
+        chi_divisor(broken, broken.divisor("1a+1b"))
+    with pytest.raises(ModelError, match=r"missing monomial \(4, 0\)"):
+        chi_multi(broken, [broken.divisor("1b")])
+    report = validate(broken)
+    assert not report.passed
+    failed = {c.name: c.actual for c in report.checks if c.passed is False}
+    assert failed == {"intersection form complete": "missing [(4, 0)]"}
+
+
+def test_non_integer_valued_chi_fails_integrality(x6):
+    # c2.H^2 = 91 instead of 90: 24 chi(tH) = 48 + 6t^4 + 91t^2 is odd at t = 1
+    planted = dataclasses.replace(x6, c2_pairings={(2,): 91})
+    with pytest.raises(ModelError, match="non-integer coefficients"):
+        chi_multi(planted, [planted.polarization])
+    report = suite_integrality([planted])
+    expansions = [c for c in report.checks if " chi expansion " in c.name]
+    assert any(c.passed is False for c in expansions)
+    assert all("non-integer" in str(c.actual) for c in expansions if c.passed is False)
+    assert all(c.passed for c in report.checks if "parity" in c.name)
+    checks = {c.name: c for c in validate(planted).checks}
+    assert checks["chi expansion integral"].passed is False

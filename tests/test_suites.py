@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from secgenus import binpoly
 from secgenus.errors import InputError
 from secgenus.suites import (
     SUITE_NAMES,
@@ -49,3 +52,23 @@ def test_integrality_and_closed_and_serre():
     assert suite_integrality(draws=3, seed=1).passed
     assert suite_closed(draws=3, seed=1).passed
     assert suite_serre(draws=5, seed=1).passed
+
+
+def test_integrality_suite_interpolates_nothing(monkeypatch):
+    # chi_multi substitutes into the compiled chi; no oracle grid is built
+    original = binpoly.coefficients_from_oracle
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        held = getattr(module, "coefficients_from_oracle", None)
+        if name.startswith("secgenus") and held is original:
+            monkeypatch.setattr(module, "coefficients_from_oracle", counted)
+    report = suite_integrality()
+    assert report.passed and len(report.checks) == 160
+    assert calls == []
+    assert suite_serre(draws=1).passed
+    assert calls  # the counter sees the serre cross-check's interpolations

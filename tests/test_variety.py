@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from secgenus.errors import AbstainError, InputError, ModelError
@@ -316,4 +316,95 @@ def test_fuzz_non_integer_field_raises_input_error(case):
     blob = _catalog_json(name)
     _set(blob, path, value)
     with pytest.raises(InputError, match="JSON integer"):
+        variety_from_json(blob)
+
+
+@pytest.mark.parametrize(
+    "name, polarization, message",
+    [
+        ("X6", [1, 1], "wrong length"),  # made validate crash in chi_multi
+        ("X6", [], "wrong length"),
+        ("P2xP2", [1], "wrong length"),
+        ("X6", [-1], "not ample"),  # loaded and validated
+        ("X6", [0], "not ample"),
+        ("P2xP2", [1, 0], "not ample"),
+    ],
+)
+def test_json_rejects_bad_polarization(name, polarization, message):
+    blob = _catalog_json(name)
+    blob["polarization"] = polarization
+    with pytest.raises(InputError, match=message):
+        variety_from_json(blob)
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("X6", ("intersections", "H^3"), 5, "degree 3, not 4"),  # loaded as (3,)
+        ("X6", ("c2_pairings", "H^4"), 1, "degree 4, not 2"),
+        ("P1", ("c2_pairings", "1"), 0, "degree 0, not -1"),
+        ("P1xP3", ("intersections", "b^3 a"), 1, "given twice"),
+        ("X6", ("intersections", "H^2 H^2"), 6, "given twice"),
+        ("X6", ("intersections", "H^0 H^4"), 6, "not a positive integer"),
+        ("X6", ("intersections", "H^-4"), 6, "not a positive integer"),
+        ("X6", ("intersections", "G^4"), 6, "unknown generator"),
+        ("X6", ("kappa_X",), 9, "kappa"),  # loaded on a 4-fold
+        ("X6", ("kappa_X",), -1, "kappa"),
+        ("P2", ("kappa_X",), 3, "kappa"),
+        ("X6", ("kappa_adjoint", "1H", "kappa", "1"), 5, "kappa"),
+        ("X6", ("generators",), "H", "generators"),
+        ("P1xP3", ("generators",), ["a", "a"], "repeat"),
+        ("X6", ("generators",), ["2H"], "identifier"),
+        ("X6", ("generators",), [], "generators"),
+    ],
+)
+def test_json_rejects_malformed_schema(name, path, value, message):
+    blob = _catalog_json(name)
+    _set(blob, path, value)
+    with pytest.raises(InputError, match=message):
+        variety_from_json(blob)
+
+
+def test_json_accepts_kappa_range_ends():
+    blob = _catalog_json("X6")
+    blob["kappa_X"] = 4
+    blob["kappa_adjoint"]["1H"]["kappa"]["1"] = 0
+    assert variety_from_json(blob).kappa_x == 4
+
+
+_KEY_NAMES = ["H", "a", "b", "L", "Z", "h", "1", "a1", ""]
+_KEY_POWERS = ["", "^0", "^1", "^2", "^3", "^4", "^5", "^-1", "^x", "^", "^1.5", "^2^2"]
+
+
+@st.composite
+def _extra_key(draw):
+    """A catalog JSON and a table key it does not have yet."""
+    name = draw(st.sampled_from(sorted(get_catalog())))
+    table = draw(st.sampled_from(["intersections", "c2_pairings"]))
+    tokens = st.tuples(st.sampled_from(_KEY_NAMES), st.sampled_from(_KEY_POWERS))
+    key = draw(
+        st.one_of(
+            st.lists(tokens, max_size=5).map(lambda ts: " ".join(n + p for n, p in ts)),
+            st.text(max_size=8),
+        )
+    )
+    blob = _catalog_json(name)
+    assume(key not in blob[table])
+    return name, table, key
+
+
+@given(_extra_key())
+@example(("X6", "intersections", "H^3"))
+@example(("X6", "intersections", "H^2 H^2"))
+@example(("P1xP3", "intersections", "b^3 a"))
+@example(("P2", "c2_pairings", ""))
+@example(("P1", "c2_pairings", "1"))
+@settings(max_examples=200, deadline=None)
+def test_fuzz_extra_table_key_raises_input_error(case):
+    # every catalog table is complete, so a key it lacks is malformed, of the
+    # wrong degree, or a second spelling of a monomial it has
+    name, table, key = case
+    blob = _catalog_json(name)
+    blob[table][key] = 0
+    with pytest.raises(InputError):
         variety_from_json(blob)
