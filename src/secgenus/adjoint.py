@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .errors import AbstainError, InputError, ModelError
-from .genus import g_i
+from .genus import chi_H_table, genus_from_chi_H
 from .hrr import h0_certified
 from .report import VerificationReport
 from .variety import DivisorClass, VarietyData, c2_pair, intersection_number
@@ -67,22 +66,19 @@ def difference_rhs(req: DifferenceRequest) -> int:
     big bundles of g_s(L_{k_1}, ..., L_{k_{n-s-1}}, L), minus
     sum_{s=0}^{n-2} C(m-1, n-s-2) h^s(O); the inner sum is empty when the
     tuple length exceeds m and degenerates to g_{n-1}(L) at s = n-1.
+    Every g_s is read from one ``chi_H_table`` over [L_1, ..., L_m, L]
+    that keeps the sub-lists with at most n - 1 big bundles: 2^(m+1) chi
+    values for m < n.
     """
     v = req.variety
-    bigs = req.big_bundles
-    nef = req.nef_bundle
     n = v.dim
-    m = len(bigs)
-    total = 0
-    for s in range(n):
-        t = n - s - 1
-        if s == n - 1:
-            total += g_i(v, n - 1, [nef])
-        elif t > m:
-            continue
-        else:
-            for combo in combinations(range(m), t):
-                total += g_i(v, s, [bigs[k] for k in combo] + [nef])
+    m = len(req.big_bundles)
+    table = chi_H_table(v, [*req.big_bundles, req.nef_bundle], max_size=n - 1)
+    total = sum(
+        genus_from_chi_H(v, n - mask.bit_count(), chi_h)
+        for mask, chi_h in table.items()
+        if mask >> m  # the sub-list holds L
+    )
     for s in range(n - 1):
         total -= comb(m - 1, n - s - 2) * v.hodge[s]
     return total
@@ -102,7 +98,8 @@ def difference_lhs(req: DifferenceRequest) -> int:
 def jump_rhs(v: VarietyData, ell: DivisorClass, m: int) -> int:
     """Genus side of the difference of consecutive multiples of K + L.
 
-    g_3(K+L) + g_2(K+L, (m-2)K + (m-1)L) - h^2(O), for 4-folds and m >= 2.
+    g_3(K+L) + g_2(K+L, (m-2)K + (m-1)L) - h^2(O), for 4-folds and m >= 2;
+    both genera come from one ``chi_H_table`` of 4 chi values.
     """
     if v.dim != 4:
         raise InputError("the multiple-difference specialisation is 4-fold only")
@@ -110,7 +107,8 @@ def jump_rhs(v: VarietyData, ell: DivisorClass, m: int) -> int:
         raise InputError(f"m must be at least 2, got {m}")
     kl = v.canonical + ell
     partner = (m - 2) * v.canonical + (m - 1) * ell
-    return g_i(v, 3, [kl]) + g_i(v, 2, [kl, partner]) - v.hodge[2]
+    table = chi_H_table(v, [kl, partner])
+    return genus_from_chi_H(v, 3, table[0b01]) + genus_from_chi_H(v, 2, table[0b11]) - v.hodge[2]
 
 
 def multiple_lower_bound(m: int) -> int:

@@ -23,20 +23,59 @@ k = n - i bundles (Stanley, Enumerative Combinatorics I, 1.9) it is
 2^k evaluations of chi (at most 16 on a 4-fold), where the full expansion
 interpolates (n+1)^k points.  With no bundles (i = n) it is chi(O).
 
+The same 2^k values give chi^H of every sub-list at once.
+``chi_H_table`` evaluates chi once at each subset sum and then runs one
+in-place Moebius pass over the subset lattice, k 2^(k-1) subtractions
+(entry S becomes entry S-{j} minus entry S, for each j in S), so entry S
+is chi^H of the sub-list S.  The difference formula sums genera over
+sub-lists with at most n - 1 of its m big bundles, so its table keeps
+only those (a down-closed family, on which the pass still works):
+2 sum_{t<n} C(m, t) values, never more than the 2^(t+1) per genus term
+of the separate sums.
+
 Two closed forms for dimension 4 accompany the definition: a trilinear
 form for g_1 and the adjoint expansion for g_2(X, K+L, K+L).  Both are
-validated against the definition by the verification suites, and an
-additivity residual (``additivity_residual``) witnesses the three-term
-decomposition rule; the contract is that it is identically zero.
+validated against the definition by the verification suites.  The
+additivity residual (``additivity_residual``) of the three-term
+decomposition rule is zero for every function chi, since backward
+differences obey D_{A+B} = D_A + D_B - D_A D_B; it tests this module's
+inclusion-exclusion and sign bookkeeping, not the model.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 
 from .errors import InputError, ModelError
 from .hrr import chi_divisor
-from .variety import DivisorClass, VarietyData, c2_pair, intersection_number
+from .variety import DivisorClass, VarietyData, _check_length, c2_pair, intersection_number
+
+
+def chi_H_table(
+    v: VarietyData, bundles: list[DivisorClass], max_size: int | None = None
+) -> dict[int, int]:
+    """chi^H of every sub-list of ``bundles``, keyed by bit mask (bit j: bundle j).
+
+    With ``max_size``, only sub-lists holding at most that many of the
+    bundles before the last one are kept; the last bundle is free.
+    """
+    _check_length(v, *bundles)
+    capped = ((1 << len(bundles)) - 1) >> 1 if max_size is not None else 0
+    points = {0: (0,) * len(v.generators)}  # mask -> coordinates of minus the sum of its bundles
+    for j, bundle in enumerate(bundles):
+        bit = 1 << j
+        for mask, point in list(points.items()):
+            if not bit & capped or (mask & capped).bit_count() < max_size:
+                points[mask | bit] = tuple(map(sub, point, bundle.coeffs))
+    table = {mask: chi_divisor(v, DivisorClass(point)) for mask, point in points.items()}
+    # Moebius pass: a backward difference along each bundle in turn
+    for j in range(len(bundles)):
+        bit = 1 << j
+        for mask in table:
+            if mask & bit:
+                table[mask] = table[mask ^ bit] - table[mask]
+    return table
 
 
 def chi_H_i(v: VarietyData, i: int, bundles: list[DivisorClass]) -> int:
@@ -46,18 +85,19 @@ def chi_H_i(v: VarietyData, i: int, bundles: list[DivisorClass]) -> int:
         raise InputError(f"index i must be in 0..{n}, got {i}")
     if len(bundles) != n - i:
         raise InputError(f"need {n - i} bundles for i={i} on {v.name}, got {len(bundles)}")
-    terms = [(v.zero(), 1)]  # (-sum of the bundles in S, (-1)^|S|) for each subset S
-    for bundle in bundles:
-        terms += [(d - bundle, -sign) for d, sign in terms]
-    return sum(sign * chi_divisor(v, d) for d, sign in terms)
+    return chi_H_table(v, bundles)[(1 << len(bundles)) - 1]
+
+
+def genus_from_chi_H(v: VarietyData, i: int, chi_h: int) -> int:
+    """g_i from chi_i^H: (-1)^i (chi_i^H - chi(O)) plus the Hodge tail."""
+    n = v.dim
+    tail = sum((-1) ** (n - i - j) * v.hodge[n - j] for j in range(n - i + 1))
+    return (-1) ** i * (chi_h - v.chi_o) + tail
 
 
 def g_i(v: VarietyData, i: int, bundles: list[DivisorClass]) -> int:
     """The i-th sectional geometric genus with the structure sheaf."""
-    n = v.dim
-    chi_h = chi_H_i(v, i, bundles)
-    tail = sum((-1) ** (n - i - j) * v.hodge[n - j] for j in range(n - i + 1))
-    return (-1) ** i * (chi_h - v.chi_o) + tail
+    return genus_from_chi_H(v, i, chi_H_i(v, i, bundles))
 
 
 def g1_closed(v: VarietyData, a: DivisorClass, b: DivisorClass, c: DivisorClass) -> int:
@@ -105,6 +145,11 @@ def additivity_residual(
 
     g_i(A+B, rest) - g_i(A, rest) - g_i(B, rest)
                    - g_{i-1}(A, B, rest) + h^{i-1}(O).
+
+    Zero for any chi at all (a finite-difference identity), so a wrong
+    model cannot make it fail; a wrong sign or subset sum in ``chi_H_i``
+    or ``genus_from_chi_H`` can.  It calls ``g_i`` four times on purpose,
+    so each term runs that path on its own.
     """
     n = v.dim
     if not 1 <= i <= n - 1:

@@ -41,7 +41,14 @@ from operator import add
 
 from .binpoly import BinBasisPoly
 from .errors import AbstainError, InputError, ModelError
-from .variety import DivisorClass, VarietyData, c2_pair, h0_exact, intersection_number
+from .variety import (
+    DivisorClass,
+    VarietyData,
+    _check_length,
+    c2_pair,
+    h0_exact,
+    intersection_number,
+)
 
 # dim -> (denominator, terms of denom * (chi(D) - chi(O))); a term
 # (weight, pairs with c_2, number of c_1 factors) stands for
@@ -89,14 +96,6 @@ def compile_chi(v: VarietyData) -> CompiledChi:
     return CompiledChi(denom, tuple((c, exps) for exps, c in coeffs.items() if c))
 
 
-def _check_length(v: VarietyData, d: DivisorClass) -> None:
-    if len(d.coeffs) != len(v.generators):
-        raise InputError(
-            f"divisor class {d.coeffs} has {len(d.coeffs)} coordinates, "
-            f"{v.name} has {len(v.generators)} generators"
-        )
-
-
 def chi_divisor(v: VarietyData, d: DivisorClass) -> int:
     """Euler characteristic of the line bundle with class d.
 
@@ -131,8 +130,7 @@ def chi_multi(v: VarietyData, bundles: list[DivisorClass]) -> BinBasisPoly:
     k = len(bundles)
     if not 1 <= k <= v.dim:
         raise InputError(f"need between 1 and {v.dim} bundles, got {k}")
-    for bundle in bundles:
-        _check_length(v, bundle)
+    _check_length(v, *bundles)
     chi = v.chi_polynomial
 
     # x_j = sum_i t_i D_i[j]: each generator coordinate as a linear form in t

@@ -81,26 +81,27 @@ def suite_difference(
             m = rng.randint(1, 3)
             bigs = [_draw_class(rng, g, 1, 3) for _ in range(m)]
             nef = _draw_class(rng, g, 0, 2)
-            req = adjoint.DifferenceRequest.build(v, bigs, nef)
-            rhs = adjoint.difference_rhs(req)
+            name = f"{v.name} draw {k} (m={m})"
+            inputs = _draw_inputs(v, bigs, nef)
             try:
+                req = adjoint.DifferenceRequest.build(v, bigs, nef)
+                rhs = adjoint.difference_rhs(req)
                 lhs = adjoint.difference_lhs(req)
             except AbstainError as exc:
-                report.add(
-                    f"{v.name} draw {k}",
-                    None,
-                    note=str(exc),
-                    inputs=_draw_inputs(v, bigs, nef),
-                )
+                report.add(f"{v.name} draw {k}", None, note=str(exc), inputs=inputs)
                 continue
-            report.add(
-                f"{v.name} draw {k} (m={m})",
-                rhs == lhs,
-                expected=lhs,
-                actual=rhs,
-                inputs=_draw_inputs(v, bigs, nef),
-            )
+            except ModelError as exc:
+                _model_failure(report, name, exc, inputs)
+                continue
+            report.add(name, rhs == lhs, expected=lhs, actual=rhs, inputs=inputs)
     return report
+
+
+def _model_failure(
+    report: VerificationReport, name: str, exc: ModelError, inputs: dict | None = None
+) -> None:
+    """Record a model inconsistency met while computing a check as that check failing."""
+    report.add(name, False, expected="a consistent model", actual=str(exc), inputs=inputs)
 
 
 def _draw_inputs(v: VarietyData, bigs: list[DivisorClass], nef: DivisorClass) -> dict:
@@ -125,19 +126,23 @@ def suite_jumps(entries: list[VarietyData] | None = None, m_max: int = 6) -> Ver
         ell = v.polarization
         kl = v.canonical + ell
         for m in range(2, m_max + 1):
-            rhs = adjoint.jump_rhs(v, ell, m)
+            inputs = {"variety": v.name, "L": v.divisor_string(ell), "m": m}
             try:
+                rhs = adjoint.jump_rhs(v, ell, m)
                 upper, _ = hrr.h0_certified(v, m * kl)
                 lower, _ = hrr.h0_certified(v, (m - 1) * kl)
             except AbstainError as exc:
                 report.add(f"{v.name} m={m}", None, note=str(exc))
+                continue
+            except ModelError as exc:
+                _model_failure(report, f"{v.name} m={m}", exc, inputs)
                 continue
             report.add(
                 f"{v.name} m={m}",
                 rhs == upper - lower,
                 expected=upper - lower,
                 actual=rhs,
-                inputs={"variety": v.name, "L": v.divisor_string(ell), "m": m},
+                inputs=inputs,
             )
     return report
 
@@ -145,7 +150,12 @@ def suite_jumps(entries: list[VarietyData] | None = None, m_max: int = 6) -> Ver
 def suite_additivity(
     entries: list[VarietyData] | None = None, draws: int = 100, seed: int = 11
 ) -> VerificationReport:
-    """Additivity residual vanishes on seeded draws across the catalog."""
+    """Additivity residual vanishes on seeded draws across the catalog.
+
+    The residual is zero for any chi, so this suite checks the genus
+    code's inclusion-exclusion, not the model: a model with a wrong chi
+    fails ``closed`` and ``g0`` but passes here.
+    """
     entries = fourfold_entries() if entries is None else entries
     report = VerificationReport(title="additivity")
     rng = random.Random(seed)
@@ -156,19 +166,20 @@ def suite_additivity(
         a = _draw_class(rng, g, -2, 2)
         b = _draw_class(rng, g, -2, 2)
         rest = [_draw_class(rng, g, -2, 2) for _ in range(v.dim - i - 1)]
-        residual = genus.additivity_residual(v, i, a, b, rest)
+        inputs = {
+            "variety": v.name,
+            "i": i,
+            "A": v.divisor_string(a),
+            "B": v.divisor_string(b),
+            "rest": ",".join(v.divisor_string(r) for r in rest),
+        }
+        try:
+            residual = genus.additivity_residual(v, i, a, b, rest)
+        except ModelError as exc:
+            _model_failure(report, f"draw {k}: {v.name} i={i}", exc, inputs)
+            continue
         report.add(
-            f"draw {k}: {v.name} i={i}",
-            residual == 0,
-            expected=0,
-            actual=residual,
-            inputs={
-                "variety": v.name,
-                "i": i,
-                "A": v.divisor_string(a),
-                "B": v.divisor_string(b),
-                "rest": ",".join(v.divisor_string(r) for r in rest),
-            },
+            f"draw {k}: {v.name} i={i}", residual == 0, expected=0, actual=residual, inputs=inputs
         )
     return report
 
@@ -187,16 +198,22 @@ def suite_bounds(entries: list[VarietyData] | None = None, m_max: int = 10) -> V
         kl = v.canonical + ell
         if not v.is_nef(kl):
             continue
-        report.extend(adjoint.check_multiple_bound(v, ell, m_max))
+        try:
+            report.extend(adjoint.check_multiple_bound(v, ell, m_max))
+        except ModelError as exc:
+            _model_failure(report, f"{v.name} recursion bound", exc)
 
-        expr = adjoint.second_jump_expression(v, ell)
-        report.add(
-            f"{v.name} second-multiple expression",
-            expr >= threshold,
-            expected=f">= {threshold}",
-            actual=expr,
-            inputs={"variety": v.name, "L": v.divisor_string(ell)},
-        )
+        try:
+            expr = adjoint.second_jump_expression(v, ell)
+            report.add(
+                f"{v.name} second-multiple expression",
+                expr >= threshold,
+                expected=f">= {threshold}",
+                actual=expr,
+                inputs={"variety": v.name, "L": v.divisor_string(ell)},
+            )
+        except ModelError as exc:
+            _model_failure(report, f"{v.name} second-multiple expression", exc)
         try:
             h2, _ = hrr.h0_certified(v, 2 * kl)
             h1, _ = hrr.h0_certified(v, kl)
@@ -208,6 +225,8 @@ def suite_bounds(entries: list[VarietyData] | None = None, m_max: int = 10) -> V
             )
         except AbstainError as exc:
             report.add(f"{v.name} second multiple", None, note=str(exc))
+        except ModelError as exc:
+            _model_failure(report, f"{v.name} h0(2(K+L)) - h0(K+L) >= 1", exc)
 
         for a, b in ((1, 1), (1, 2), (2, 2), (2, 3)):
             try:
@@ -216,6 +235,9 @@ def suite_bounds(entries: list[VarietyData] | None = None, m_max: int = 10) -> V
                 hb, _ = hrr.h0_certified(v, b * kl)
             except AbstainError as exc:
                 report.add(f"{v.name} superadditivity a={a} b={b}", None, note=str(exc))
+                continue
+            except ModelError as exc:
+                _model_failure(report, f"{v.name} superadditivity a={a} b={b}", exc)
                 continue
             report.add(
                 f"{v.name} superadditivity a={a} b={b}",
@@ -259,13 +281,18 @@ def suite_integrality(
         if v.dim == 4:
             for k in range(draws):
                 ample = _draw_class(rng, g, 1, 3)
-                value = intersection_number(v, [v.canonical + 3 * ample, ample, ample, ample])
+                inputs = {"variety": v.name, "L": v.divisor_string(ample)}
+                try:
+                    value = intersection_number(v, [v.canonical + 3 * ample, ample, ample, ample])
+                except ModelError as exc:
+                    _model_failure(report, f"{v.name} parity draw {k}", exc, inputs)
+                    continue
                 report.add(
                     f"{v.name} parity draw {k}",
                     value % 2 == 0,
                     expected="even",
                     actual=value,
-                    inputs={"variety": v.name, "L": v.divisor_string(ample)},
+                    inputs=inputs,
                 )
     return report
 
@@ -285,31 +312,41 @@ def suite_closed(
             a = _draw_class(rng, g, -2, 2)
             b = _draw_class(rng, g, -2, 2)
             c = _draw_class(rng, g, -2, 2)
-            closed = genus.g1_closed(v, a, b, c)
-            defined = genus.g_i(v, 1, [a, b, c])
+            inputs = {
+                "variety": v.name,
+                "A": v.divisor_string(a),
+                "B": v.divisor_string(b),
+                "C": v.divisor_string(c),
+            }
+            try:
+                closed = genus.g1_closed(v, a, b, c)
+                defined = genus.g_i(v, 1, [a, b, c])
+            except ModelError as exc:
+                _model_failure(report, f"{v.name} g1 closed form {k}", exc, inputs)
+                continue
             report.add(
                 f"{v.name} g1 closed form {k}",
                 closed == defined,
                 expected=defined,
                 actual=closed,
-                inputs={
-                    "variety": v.name,
-                    "A": v.divisor_string(a),
-                    "B": v.divisor_string(b),
-                    "C": v.divisor_string(c),
-                },
+                inputs=inputs,
             )
         for k in range(draws):
             ell = _draw_class(rng, g, -2, 2)
             kl = v.canonical + ell
-            closed = genus.g2_adjoint_closed(v, ell)
-            defined = genus.g_i(v, 2, [kl, kl])
+            inputs = {"variety": v.name, "L": v.divisor_string(ell)}
+            try:
+                closed = genus.g2_adjoint_closed(v, ell)
+                defined = genus.g_i(v, 2, [kl, kl])
+            except ModelError as exc:
+                _model_failure(report, f"{v.name} g2 adjoint closed form {k}", exc, inputs)
+                continue
             report.add(
                 f"{v.name} g2 adjoint closed form {k}",
                 closed == defined,
                 expected=defined,
                 actual=closed,
-                inputs={"variety": v.name, "L": v.divisor_string(ell)},
+                inputs=inputs,
             )
     return report
 
@@ -328,11 +365,16 @@ def suite_c2bound(
         checked = 0
         for _ in range(draws):
             ell = _draw_class(rng, g, 1, 6)
-            if not v.is_nef_and_big(v.canonical + ell):
+            try:
+                if not v.is_nef_and_big(v.canonical + ell):
+                    continue
+                a1 = _draw_class(rng, g, 0, 3)
+                a2 = _draw_class(rng, g, 0, 3)
+                result = adjoint.c2_lower_bound_check(v, ell, a1, a2)
+            except ModelError as exc:
+                _model_failure(report, f"{v.name} c2 bound draw {checked}", exc)
+                checked += 1
                 continue
-            a1 = _draw_class(rng, g, 0, 3)
-            a2 = _draw_class(rng, g, 0, 3)
-            result = adjoint.c2_lower_bound_check(v, ell, a1, a2)
             alt = "holds" if result.holds_alt else "fails"
             report.add(
                 f"{v.name} c2 bound draw {checked}",
@@ -368,18 +410,17 @@ def suite_g0(
         v = entries[rng.randrange(len(entries))]
         g = len(v.generators)
         bundles = [_draw_class(rng, g, -2, 2) for _ in range(v.dim)]
-        left = genus.g_i(v, 0, bundles)
-        right = intersection_number(v, bundles)
-        report.add(
-            f"draw {k}: {v.name}",
-            left == right,
-            expected=right,
-            actual=left,
-            inputs={
-                "variety": v.name,
-                "bundles": ",".join(v.divisor_string(b) for b in bundles),
-            },
-        )
+        inputs = {
+            "variety": v.name,
+            "bundles": ",".join(v.divisor_string(b) for b in bundles),
+        }
+        try:
+            left = genus.g_i(v, 0, bundles)
+            right = intersection_number(v, bundles)
+        except ModelError as exc:
+            _model_failure(report, f"draw {k}: {v.name}", exc, inputs)
+            continue
+        report.add(f"draw {k}: {v.name}", left == right, expected=right, actual=left, inputs=inputs)
     return report
 
 
@@ -394,22 +435,35 @@ def suite_serre(
         g = len(v.generators)
         for k in range(draws):
             d = _draw_class(rng, g, -3, 3)
-            left = hrr.chi_divisor(v, v.canonical - d)
-            right = (-1) ** v.dim * hrr.chi_divisor(v, d)
+            inputs = {"variety": v.name, "D": v.divisor_string(d)}
+            try:
+                left = hrr.chi_divisor(v, v.canonical - d)
+                right = (-1) ** v.dim * hrr.chi_divisor(v, d)
+            except ModelError as exc:
+                _model_failure(report, f"{v.name} duality draw {k}", exc, inputs)
+                continue
             report.add(
                 f"{v.name} duality draw {k}",
                 left == right,
                 expected=right,
                 actual=left,
-                inputs={"variety": v.name, "D": v.divisor_string(d)},
+                inputs=inputs,
             )
         if v.polarization is not None:
             ell = v.polarization
-            single = coefficients_from_oracle(
-                lambda t: hrr.chi_divisor(v, t * ell), 1, v.dim
-            )
+            try:
+                single = coefficients_from_oracle(
+                    lambda t: hrr.chi_divisor(v, t * ell), 1, v.dim
+                )
+            except ModelError as exc:
+                _model_failure(report, f"{v.name} equal-bundle chi^H", exc)
+                continue
             for i in range(v.dim):
-                multi = genus.chi_H_i(v, i, [ell] * (v.dim - i))
+                try:
+                    multi = genus.chi_H_i(v, i, [ell] * (v.dim - i))
+                except ModelError as exc:
+                    _model_failure(report, f"{v.name} equal-bundle chi_{i}^H", exc)
+                    continue
                 expected = int(single.coefficient((v.dim - i,)))
                 report.add(
                     f"{v.name} equal-bundle chi_{i}^H",

@@ -211,16 +211,29 @@ def _monomials(n_gens: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _check_length(v: VarietyData, *classes: DivisorClass) -> None:
+    g = len(v.generators)
+    for d in classes:
+        if len(d.coeffs) != g:
+            raise InputError(
+                f"divisor class {d.coeffs} has {len(d.coeffs)} coordinates, "
+                f"{v.name} has {g} generators"
+            )
+
+
 def _expand(
+    v: VarietyData,
     table: dict[tuple[int, ...], int],
     classes: list[DivisorClass],
-    n_gens: int,
     what: str,
 ) -> int:
     """Multilinear expansion of a pairing table against divisor classes."""
-    supports = [
-        [(g, c) for g, c in enumerate(cls.coeffs) if c] for cls in classes
-    ]
+    n_gens = len(v.generators)
+    supports = []
+    for cls in classes:
+        if len(cls.coeffs) != n_gens:
+            _check_length(v, cls)  # raises; tested inline on this hot path
+        supports.append([(g, c) for g, c in enumerate(cls.coeffs) if c])
     total = 0
     for picks in product(*supports):
         coeff = 1
@@ -230,7 +243,7 @@ def _expand(
             exps[g] += 1
         key = tuple(exps)
         if key not in table:
-            raise ModelError(f"{what} table is missing monomial {key}")
+            raise ModelError(f"{v.name} {what} table is missing monomial {key}")
         total += coeff * table[key]
     return total
 
@@ -239,7 +252,7 @@ def intersection_number(v: VarietyData, classes: list[DivisorClass]) -> int:
     """Product of exactly dim(V) divisor classes against the intersection form."""
     if len(classes) != v.dim:
         raise InputError(f"need exactly {v.dim} classes, got {len(classes)}")
-    return _expand(v.intersection_form, classes, len(v.generators), f"{v.name} intersection")
+    return _expand(v, v.intersection_form, classes, "intersection")
 
 
 def c2_pair(v: VarietyData, classes: list[DivisorClass]) -> int:
@@ -248,7 +261,7 @@ def c2_pair(v: VarietyData, classes: list[DivisorClass]) -> int:
         raise InputError("c_2 pairings require dimension >= 2")
     if len(classes) != v.dim - 2:
         raise InputError(f"need exactly {v.dim - 2} classes, got {len(classes)}")
-    return _expand(v.c2_pairings, classes, len(v.generators), f"{v.name} c2")
+    return _expand(v, v.c2_pairings, classes, "c2")
 
 
 # -- catalog ----------------------------------------------------------------

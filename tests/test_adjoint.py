@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
+from secgenus import genus
 from secgenus.adjoint import (
     DifferenceRequest,
     c2_lower_bound_check,
@@ -16,8 +19,46 @@ from secgenus.adjoint import (
     multiple_lower_bound,
 )
 from secgenus.errors import AbstainError, InputError
+from secgenus.genus import g_i
 from secgenus.hrr import h0_certified
-from secgenus.variety import DivisorClass
+from secgenus.variety import FOURFOLD_NAMES, DivisorClass
+
+
+def _difference_rhs_reference(req):
+    """The genus side as one g_i per term, summed over index tuples."""
+    v, bigs, nef = req.variety, req.big_bundles, req.nef_bundle
+    n, m = v.dim, len(bigs)
+    total = 0
+    for s in range(n):
+        for combo in combinations(range(m), n - s - 1):
+            total += g_i(v, s, [bigs[k] for k in combo] + [nef])
+    for s in range(n - 1):
+        total -= comb(m - 1, n - s - 2) * v.hodge[s]
+    return total
+
+
+def _jump_rhs_reference(v, ell, m):
+    kl = v.canonical + ell
+    partner = (m - 2) * v.canonical + (m - 1) * ell
+    return g_i(v, 3, [kl]) + g_i(v, 2, [kl, partner]) - v.hodge[2]
+
+
+def _draw(rng, g, lo, hi):
+    return DivisorClass(tuple(rng.randint(lo, hi) for _ in range(g)))
+
+
+@pytest.fixture
+def chi_calls(monkeypatch):
+    """Count the chi evaluations the genus code makes."""
+    calls = []
+    original = genus.chi_divisor
+
+    def counted(v, d):
+        calls.append(d)
+        return original(v, d)
+
+    monkeypatch.setattr(genus, "chi_divisor", counted)
+    return calls
 
 
 def test_difference_anchor_p4(p4):
@@ -72,6 +113,51 @@ def test_difference_seeded_draws(catalog):
             nef = DivisorClass(tuple(rng.randint(0, 2) for _ in range(g)))
             req = DifferenceRequest.build(v, bigs, nef)
             assert difference_rhs(req) == difference_lhs(req)
+
+
+def test_difference_rhs_matches_per_term_reference(catalog):
+    rng = random.Random(2024)
+    for name in FOURFOLD_NAMES:
+        v = catalog[name]
+        g = len(v.generators)
+        for m in range(1, 7):
+            for _ in range(2):
+                bigs = [_draw(rng, g, 1, 3) for _ in range(m)]
+                nef = _draw(rng, g, 0, 2)
+                req = DifferenceRequest.build(v, bigs, nef)
+                assert difference_rhs(req) == _difference_rhs_reference(req), (name, m)
+
+
+def test_jump_rhs_matches_per_term_reference(catalog):
+    rng = random.Random(2025)
+    for name in FOURFOLD_NAMES:
+        v = catalog[name]
+        g = len(v.generators)
+        for m in range(2, 8):
+            ell = v.polarization if m % 2 else _draw(rng, g, -3, 3)
+            assert jump_rhs(v, ell, m) == _jump_rhs_reference(v, ell, m), (name, m)
+
+
+def test_difference_rhs_chi_evaluation_count(x6, chi_calls):
+    h = x6.divisor("1H")
+    for m in range(1, 4):
+        chi_calls.clear()
+        difference_rhs(DifferenceRequest.build(x6, [h] * m, h))
+        assert len(chi_calls) == 2 ** (m + 1)
+    req = DifferenceRequest.build(x6, [h, 2 * h, 3 * h, h, 2 * h, h], h)
+    chi_calls.clear()
+    difference_rhs(req)
+    table_calls = len(chi_calls)
+    chi_calls.clear()
+    _difference_rhs_reference(req)
+    # sub-lists with at most three of the six big bundles, with and without L
+    assert table_calls == 2 * sum(comb(6, t) for t in range(4)) == 84
+    assert len(chi_calls) == sum(comb(6, t) * 2 ** (t + 1) for t in range(4)) == 466
+
+
+def test_jump_rhs_chi_evaluation_count(x6, chi_calls):
+    jump_rhs(x6, x6.divisor("1H"), 5)
+    assert len(chi_calls) == 4
 
 
 def test_jump_specialization_x6(x6):

@@ -8,6 +8,7 @@ from secgenus.errors import InputError
 from secgenus.genus import (
     additivity_residual,
     chi_H_i,
+    chi_H_table,
     g1_closed,
     g2_adjoint_closed,
     g_i,
@@ -46,6 +47,58 @@ def test_chi_h_matches_full_expansion(catalog):
                 assert chi_H_i(v, i, bundles) == expected, (v.name, i, bundles)
                 for order in (bundles[::-1], rng.sample(bundles, k)):
                     assert chi_H_i(v, i, order) == expected, (v.name, i, order)
+
+
+def _sub_list(bundles, mask):
+    return [b for j, b in enumerate(bundles) if mask >> j & 1]
+
+
+def test_chi_h_table_entries_are_sub_list_genera(catalog):
+    # entry S of the lattice table against chi_H_i of the sub-list S and the
+    # all-ones coefficient of its full expansion, on every catalog entry
+    rng = random.Random(11)
+
+    def draw(g, lo, hi):
+        return DivisorClass(tuple(rng.randint(lo, hi) for _ in range(g)))
+
+    for v in catalog.values():
+        g = len(v.generators)
+        for trial in range(3):
+            bundles = [draw(g, -3, 3) for _ in range(v.dim)]
+            if trial == 0:  # a zero class and a repeated bundle
+                bundles[0] = v.zero()
+                bundles[-1] = bundles[len(bundles) // 2]
+            elif trial == 1:  # mixed signs
+                bundles = [draw(g, 1, 3) if j % 2 else draw(g, -3, -1) for j in range(v.dim)]
+            table = chi_H_table(v, bundles)
+            assert sorted(table) == list(range(2 ** v.dim))
+            for mask, value in table.items():
+                sub = _sub_list(bundles, mask)
+                assert value == chi_H_i(v, v.dim - len(sub), sub), (v.name, sub)
+                if sub:
+                    expected = chi_multi(v, sub).coefficient((1,) * len(sub))
+                    assert value == expected, (v.name, sub)
+
+
+def test_chi_h_table_cap_keeps_a_down_closed_family(x6):
+    h = x6.divisor("1H")
+    bundles = [h, 2 * h, -h, 3 * h, x6.zero(), 2 * h]
+    full = chi_H_table(x6, bundles)
+    capped = chi_H_table(x6, bundles, max_size=2)
+    # at most two of the first five bundles; the last one is free
+    assert set(capped) == {mask for mask in full if (mask & 0b11111).bit_count() <= 2}
+    assert all(capped[mask] == full[mask] for mask in capped)
+    # sub-lists longer than the dimension have chi^H = 0 (chi has degree 4)
+    assert all(full[mask] == 0 for mask in full if mask.bit_count() > x6.dim)
+    assert chi_H_table(x6, []) == {0: x6.chi_o}
+    assert chi_H_table(x6, [h], max_size=0) == {0: x6.chi_o, 1: chi_H_i(x6, 3, [h])}
+
+
+def test_chi_h_table_rejects_wrong_length(p1xp3):
+    with pytest.raises(InputError, match="has 1 coordinates"):
+        chi_H_table(p1xp3, [p1xp3.divisor("1a"), DivisorClass((1,))])
+    with pytest.raises(InputError):
+        chi_H_i(p1xp3, 3, [DivisorClass((1, 0, 0))])
 
 
 def test_genus_keeps_no_reference_to_the_model():

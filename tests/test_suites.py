@@ -1,8 +1,9 @@
+import dataclasses
 import sys
 
 import pytest
 
-from secgenus import binpoly
+from secgenus import binpoly, suites
 from secgenus.errors import InputError
 from secgenus.suites import (
     SUITE_NAMES,
@@ -72,3 +73,26 @@ def test_integrality_suite_interpolates_nothing(monkeypatch):
     assert calls == []
     assert suite_serre(draws=1).passed
     assert calls  # the counter sees the serre cross-check's interpolations
+
+
+@pytest.mark.parametrize(
+    "name", ["difference", "jumps", "additivity", "bounds", "closed", "g0", "serre"]
+)
+def test_suite_records_model_error_as_failed_check(x6, name):
+    # c2.H^2 = 91 instead of 90 makes chi(-1H) = 145/24, a ModelError on evaluation
+    planted = dataclasses.replace(x6, c2_pairings={(2,): 91})
+    report = getattr(suites, f"suite_{name}")([planted])
+    failed = report.failures
+    assert failed, report.to_table()
+    assert all("on X6 is not an integer" in c.actual for c in failed)
+
+
+def test_every_suite_records_a_missing_monomial_as_failed_checks(catalog):
+    # every chi and every pairing through (4, 0) raises ModelError on this model
+    p2xp2 = catalog["P2xP2"]
+    form = {exps: val for exps, val in p2xp2.intersection_form.items() if exps != (4, 0)}
+    broken = dataclasses.replace(p2xp2, intersection_form=form)
+    for name in ("difference", "additivity", "integrality", "closed", "c2bound", "g0", "serre"):
+        report = getattr(suites, f"suite_{name}")([broken])
+        assert report.failures, name
+        assert all("missing monomial (4, 0)" in c.actual for c in report.failures), name

@@ -65,6 +65,25 @@ def test_intersection_symmetric_and_multilinear(catalog):
             )
 
 
+def test_pairings_reject_short_class_on_two_generators(catalog):
+    # a one-coordinate class on P2xP2 used to be read as a prefix (0 and 3)
+    p2xp2 = catalog["P2xP2"]
+    short = DivisorClass((1,))
+    with pytest.raises(InputError, match=r"\(1,\) has 1 coordinates, P2xP2 has 2 generators"):
+        intersection_number(p2xp2, [short] * 4)
+    with pytest.raises(InputError, match=r"\(1,\) has 1 coordinates, P2xP2 has 2 generators"):
+        c2_pair(p2xp2, [short] * 2)
+
+
+def test_pairings_reject_long_class_on_one_generator(x6):
+    # a two-coordinate class on X6 used to raise IndexError
+    long = DivisorClass((1, 1))
+    with pytest.raises(InputError, match=r"\(1, 1\) has 2 coordinates, X6 has 1 generators"):
+        intersection_number(x6, [x6.divisor("1H")] * 3 + [long])
+    with pytest.raises(InputError, match=r"\(1, 1\) has 2 coordinates, X6 has 1 generators"):
+        c2_pair(x6, [long, long])
+
+
 def test_c2_pairings(catalog, p4, x6, a4):
     h = x6.divisor("1H")
     assert c2_pair(x6, [h, h]) == 90
