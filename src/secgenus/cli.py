@@ -206,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite", parents=[common])
     p_ver.add_argument("--suite", default="all", choices=suites.SUITE_NAMES + ("all",))
-    p_ver.add_argument("--seed", type=int, default=7)
+    p_ver.add_argument("--seed", type=int)
     p_ver.add_argument("--draws", type=int, help="draw count of every suite that draws")
-    p_ver.add_argument("--m-max", type=int, default=10)
+    p_ver.add_argument("--m-max", type=int)
     p_ver.set_defaults(func=cmd_verify)
 
     p_semi = sub.add_parser("semigroup", help="numerical semigroup utilities", parents=[common])

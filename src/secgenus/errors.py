@@ -10,9 +10,10 @@ them to distinct exit codes:
   data and must not be fabricated (exit 3 under the ``fail`` policy).
 
 ``ModelError`` signals that the numerical model itself is inconsistent
-(a non-integer Euler characteristic, a parity violation, ...).  It is
-never caught and silenced: an inconsistent model invalidates every
-downstream result.
+(a non-integer Euler characteristic, a parity violation, ...).  The
+verification suites record it as a failed check, named like the check
+it replaces; every other caller lets it propagate, since an
+inconsistent model invalidates every downstream result.
 """
 
 

@@ -38,6 +38,10 @@ class Check:
     def abstained(self) -> bool:
         return self.passed is None
 
+    @property
+    def status(self) -> str:
+        return "abstain" if self.abstained else ("pass" if self.passed else "FAIL")
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -115,15 +119,12 @@ class VerificationReport:
         writer.writerow(["name", "inputs", "expected", "actual", "pass"])
         for c in self.checks:
             inputs = ";".join(f"{k}={v}" for k, v in sorted(c.inputs.items()))
-            status = "abstain" if c.abstained else ("pass" if c.passed else "FAIL")
-            writer.writerow([c.name, inputs, c.expected, c.actual, status])
+            writer.writerow([c.name, inputs, c.expected, c.actual, c.status])
         return buffer.getvalue()
 
     def to_table(self) -> str:
         rows = [("check", "expected", "actual", "status")]
-        for c in self.checks:
-            status = "abstain" if c.abstained else ("pass" if c.passed else "FAIL")
-            rows.append((c.name, c.expected, c.actual, status))
+        rows += [(c.name, c.expected, c.actual, c.status) for c in self.checks]
         widths = [max(len(row[i]) for row in rows) for i in range(4)]
         lines = [f"# {self.title}"]
         for idx, row in enumerate(rows):

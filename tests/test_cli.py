@@ -118,6 +118,29 @@ def test_verify_draws_rejected_where_nothing_is_drawn(capsys, suite):
     assert "input error" in err and "draws nothing" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("--suite", "all", "--draws", "-3"), ("--suite", "bounds", "--m-max", "-2")]
+)
+def test_verify_out_of_range_counts_exit_two(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "input error" in err and "must be at least" in err
+
+
+def test_status_column_in_csv_and_table(capsys):
+    from secgenus.report import VerificationReport
+
+    report = VerificationReport(title="synthetic")
+    report.add("holds", True)
+    report.add("breaks", False)
+    report.add("uncertified", None)
+    assert [c.status for c in report.checks] == ["pass", "FAIL", "abstain"]
+    rows = report.to_csv().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["pass", "FAIL", "abstain"]
+    lines = report.to_table().splitlines()[3:6]
+    assert [line.split()[-1] for line in lines] == ["pass", "FAIL", "abstain"]
+
+
 def test_verify_deterministic(capsys):
     _, out1, _ = run(capsys, "--format", "json", "verify", "--suite", "g0", "--seed", "5")
     _, out2, _ = run(capsys, "--format", "json", "verify", "--suite", "g0", "--seed", "5")

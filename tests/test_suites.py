@@ -1,13 +1,16 @@
 import dataclasses
+import functools
+import hashlib
 import sys
 
 import pytest
 
 from secgenus import binpoly, suites
-from secgenus.errors import InputError
+from secgenus.errors import AbstainError, InputError
 from secgenus.suites import (
     SUITE_NAMES,
     run_suites,
+    suite_additivity,
     suite_bounds,
     suite_closed,
     suite_jumps,
@@ -15,6 +18,18 @@ from secgenus.suites import (
     suite_serre,
     suite_c2bound,
 )
+
+
+def _x6_c2_91(x6):
+    # c2.H^2 = 91 instead of 90 makes chi(-1H) = 145/24, a ModelError on evaluation
+    return dataclasses.replace(x6, c2_pairings={(2,): 91})
+
+
+def _p2xp2_without_40(catalog):
+    # every chi and every pairing through (4, 0) raises ModelError on this model
+    p2xp2 = catalog["P2xP2"]
+    form = {exps: val for exps, val in p2xp2.intersection_form.items() if exps != (4, 0)}
+    return dataclasses.replace(p2xp2, intersection_form=form)
 
 
 def test_every_named_suite_passes():
@@ -79,8 +94,7 @@ def test_integrality_suite_interpolates_nothing(monkeypatch):
     "name", ["difference", "jumps", "additivity", "bounds", "closed", "g0", "serre"]
 )
 def test_suite_records_model_error_as_failed_check(x6, name):
-    # c2.H^2 = 91 instead of 90 makes chi(-1H) = 145/24, a ModelError on evaluation
-    planted = dataclasses.replace(x6, c2_pairings={(2,): 91})
+    planted = _x6_c2_91(x6)
     report = getattr(suites, f"suite_{name}")([planted])
     failed = report.failures
     assert failed, report.to_table()
@@ -88,11 +102,115 @@ def test_suite_records_model_error_as_failed_check(x6, name):
 
 
 def test_every_suite_records_a_missing_monomial_as_failed_checks(catalog):
-    # every chi and every pairing through (4, 0) raises ModelError on this model
-    p2xp2 = catalog["P2xP2"]
-    form = {exps: val for exps, val in p2xp2.intersection_form.items() if exps != (4, 0)}
-    broken = dataclasses.replace(p2xp2, intersection_form=form)
+    broken = _p2xp2_without_40(catalog)
     for name in ("difference", "additivity", "integrality", "closed", "c2bound", "g0", "serre"):
         report = getattr(suites, f"suite_{name}")([broken])
         assert report.failures, name
         assert all("missing monomial (4, 0)" in c.actual for c in report.failures), name
+
+
+# SHA-256 of each suite's JSON report on the two planted models above, with
+# draws=4, seed=5 (drawing suites) or m_max=6 (jumps, bounds).  They pin the
+# name, inputs, expected and actual text of every failure record.  jumps and
+# bounds give no check on P2xP2 (see test_suite_without_usable_entry_abstains).
+PLANTED_SHA256 = {
+    ("X6", "difference"): "60e542ef89936e8168ebcdb5c6a968d28fbbfaf99b40c904ac958b7574b3af9e",
+    ("X6", "jumps"): "808e0b5012aa8c5782e1c0b9b00af16f8e7ee20c3b9f242d38262cb672e69eac",
+    ("X6", "additivity"): "d063849c7867b8caa962acc1d7d2bfd281bfc9490429597fcfc9245eea489f3e",
+    ("X6", "bounds"): "adb458e849d83b0668aadfe4ad8e1737705f658cc495e9d5e3fdb69839ba452e",
+    ("X6", "integrality"): "1016586f1dd24f1b16c1f68c014e9a43908d72cf5fe11afe5078facf044b2b66",
+    ("X6", "closed"): "08cd19e4b2f538c528e6278cd5bf72e0565825e337c9b16a0d7680aa8b81f833",
+    ("X6", "c2bound"): "8979e62cb013a1088caa837f0c02a723909f28f80cd92fca34e92f27f3ca4cd5",
+    ("X6", "g0"): "93d364d4369ebd7202e536291629eb8597276efe1063cd14b371518a33f0b1ef",
+    ("X6", "serre"): "971ac476fbf96524ac57e5ea9a41e4ffa741c7066b60ab4a2a5b124a6a4bf6b8",
+    ("P2xP2", "difference"): "9bec0bc224256055d92f5ec981788a095cfceb738c2033f09e6f9da1c6de5bcc",
+    ("P2xP2", "additivity"): "04fe963b632715812a9f9622a646fec12ccbb934fe7835abd45972796a489a54",
+    ("P2xP2", "integrality"): "26e2175ef5704147c002724f4bec8490c08d871607df238f2d50d2bac1d8d657",
+    ("P2xP2", "closed"): "8349678bb7de30a197515796a5279574e12763e01001d0ad8dfcd11ca16c910a",
+    ("P2xP2", "c2bound"): "7396bdeba827f80546781143540a558c3850688284421ef63ea13aa7ddbc7131",
+    ("P2xP2", "g0"): "f836724a7be08184c5c91162826d5887d5b10bb09a91fcf84a7dae7e5dd5bad0",
+    ("P2xP2", "serre"): "a8962fd6f762c7f40e6e629721b44a5958657b7b5fdd3bfa16caa335e66f8e3b",
+}
+
+
+@pytest.mark.parametrize("model, name", sorted(PLANTED_SHA256))
+def test_planted_model_reports_are_pinned(catalog, model, name):
+    planted = _x6_c2_91(catalog["X6"]) if model == "X6" else _p2xp2_without_40(catalog)
+    kwargs = {"m_max": 6} if name in ("jumps", "bounds") else {"draws": 4, "seed": 5}
+    report = getattr(suites, f"suite_{name}")([planted], **kwargs)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == PLANTED_SHA256[model, name]
+
+
+@pytest.mark.parametrize(
+    "name, entry",
+    [
+        ("jumps", "P2xP2"),  # no polarization
+        ("bounds", "P2xP2"),
+        ("closed", "P3"),  # not a 4-fold
+        ("c2bound", "P3"),
+        ("integrality", None),  # no entry at all
+        ("serre", None),
+    ],
+)
+def test_suite_without_usable_entry_abstains(catalog, name, entry):
+    report = getattr(suites, f"suite_{name}")([catalog[entry]] if entry else [])
+    assert len(report.checks) == 1 and report.checks[0].abstained
+    assert report.checks[0].name.startswith(f"{name}: no ")
+
+
+@pytest.mark.parametrize("kwargs", [{"draws": 0}, {"draws": -3}, {"m_max": 1}, {"m_max": -2}])
+def test_out_of_range_counts_rejected(kwargs):
+    with pytest.raises(InputError, match="must be at least"):
+        run_suites(list(SUITE_NAMES), **kwargs)
+
+
+def _abstain(*args, **kwargs):
+    raise AbstainError("no certified route (test)")
+
+
+@pytest.mark.parametrize("name", ["difference", "jumps", "bounds"])
+def test_abstentions_keep_the_check_name_and_inputs(monkeypatch, x6, name):
+    run = functools.partial(getattr(suites, f"suite_{name}"), [x6])
+    if name == "difference":
+        run = functools.partial(run, draws=3, seed=5)
+    passed = run()
+    for module_name, module in list(sys.modules.items()):
+        held = getattr(module, "h0_certified", None)
+        if module_name.startswith("secgenus") and held is not None:
+            monkeypatch.setattr(module, "h0_certified", _abstain)
+    abstained = run()
+
+    def rows(report):
+        # check_multiple_bound's h0-bound and recursion rows name their own abstentions
+        skip = ("h0-bound[", "recursion[")
+        return [c for c in report.checks if not c.name.startswith(skip)]
+
+    assert passed.passed and not passed.abstentions and not abstained.failures
+    assert [(c.name, c.inputs) for c in rows(abstained)] == [
+        (c.name, c.inputs) for c in rows(passed)
+    ]
+    assert any(c.abstained and "no certified route" in c.note for c in rows(abstained))
+
+
+def test_run_suites_dispatches_through_the_module(monkeypatch):
+    seen = []
+    original = suites.suite_g0
+
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        seen.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "suite_g0", counted)
+    run_suites(["g0"])
+    run_suites(["g0", "jumps"], draws=3, seed=5)
+    assert seen == [{}, {"draws": 3, "seed": 5}]
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_run_suites_keeps_each_suites_own_defaults(name):
+    assert run_suites([name]).to_json() == getattr(suites, f"suite_{name}")().to_json()
+
+
+def test_additivity_default_is_the_verify_count():
+    assert len(run_suites(["additivity"]).checks) == len(suite_additivity().checks) == 25
