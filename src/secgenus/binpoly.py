@@ -79,13 +79,14 @@ class BinBasisPoly:
         for index, value in self.coeffs.items():
             if len(index) != self.arity:
                 raise InputError(f"multi-index {index} has wrong length for arity {self.arity}")
-            if any(p < 0 for p in index):
+            if min(index) < 0:
                 raise InputError(f"multi-index {index} has a negative entry")
             if sum(index) > self.max_degree:
                 raise InputError(
                     f"multi-index {index} exceeds total degree bound {self.max_degree}"
                 )
-            value = Fraction(value)
+            if not isinstance(value, Fraction):
+                value = Fraction(value)
             if value != 0:
                 cleaned[index] = value
         object.__setattr__(self, "coeffs", cleaned)

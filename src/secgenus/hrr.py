@@ -7,16 +7,20 @@ replaced by chi(O) taken from the declared Hodge numbers, so the model
 never needs c_3 or c_4 inputs.  Scaled by its denominator (1, 2, 12 or
 24 in dimension 1..4) the closed form is an integer polynomial in the
 generator coordinates x of D = x_1 G_1 + ... + x_g G_g, over the
-monomials of degree <= n (15 of them for two generators on a 4-fold):
+monomials of degree <= n (15 of them for two generators on a 4-fold).
+It is kept in nested Horner form, one level per generator:
 
-    denom * chi(D) = sum over exponent tuples a of coeff_a x^a.
+    denom * chi(D) = P(x_1, ..., x_g) = sum_a x_1^a P_a(x_2, ..., x_g),
 
-``compile_chi`` builds those coefficients from the model's intersection
-form and c_2 pairings; each model compiles once, on first use
-(``VarietyData.chi_polynomial``).  ``chi_divisor`` evaluates the
-polynomial and divides once: a remainder is a model inconsistency, not a
-rounding situation.  ``chi_multi`` substitutes D = t_1 D_1 + ... + t_k D_k
-and changes from the monomial to the binomial basis, axis by axis, with
+with P_a nested the same way in x_2, ..., x_g.  ``compile_chi`` writes
+that form from the model's intersection form and c_2 pairings; each
+model compiles once, on first use (``VarietyData.chi_polynomial``).
+``chi_divisor`` evaluates it by Horner's rule in integers and divides
+once: a remainder is a model inconsistency, not a rounding situation.
+``chi_multi`` substitutes D = t_1 D_1 + ... + t_k D_k by Horner's rule
+on polynomials in t, tests the integer coefficients for divisibility by
+the denominator, and changes from the monomial to the binomial basis,
+axis by axis, with
 
     t^a = sum_{p=1..a} (-1)^(a-p) S(a, p) p! C(t + p - 1, p)   (a >= 1)
 
@@ -37,7 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial, prod
-from operator import add
 
 from .binpoly import BinBasisPoly
 from .errors import AbstainError, InputError, ModelError
@@ -68,10 +71,30 @@ _POWER_ROWS = ({0: 1}, {1: 1}, {1: -1, 2: 2}, {1: 1, 2: -6, 3: 6}, {1: -1, 2: 14
 
 @dataclass(frozen=True)
 class CompiledChi:
-    """denom * chi(x_1 G_1 + ... + x_g G_g) = sum of coeff * x^exps over ``terms``."""
+    """denom * chi(x_1 G_1 + ... + x_g G_g) as a nested Horner form.
+
+    ``horner[a]`` is the coefficient of x_1^a: a nested form of the same
+    kind in x_2, ..., x_g, and an integer once no variable is left.
+    Trailing zero entries are left out, so () is the zero form.
+    """
 
     denom: int
-    terms: tuple[tuple[int, tuple[int, ...]], ...]
+    horner: tuple
+
+
+def _zero_form(depth: int, degree: int) -> list:
+    """Nested lists of zeros for every monomial of total degree <= ``degree``."""
+    if depth == 1:
+        return [0] * (degree + 1)
+    return [_zero_form(depth - 1, degree - a) for a in range(degree + 1)]
+
+
+def _frozen(form: list, depth: int) -> tuple:
+    """``form`` as nested tuples, without trailing zero entries."""
+    entries = [_frozen(entry, depth - 1) for entry in form] if depth > 1 else form
+    while entries and not entries[-1]:
+        entries.pop()
+    return tuple(entries)
 
 
 def compile_chi(v: VarietyData) -> CompiledChi:
@@ -84,16 +107,36 @@ def compile_chi(v: VarietyData) -> CompiledChi:
     denom, todd = _TODD[v.dim]
     c1 = -v.canonical
     units = [v.generator(name) for name in v.generators]
-    coeffs = {(0,) * g: denom * v.chi_o}
+    form = _zero_form(g, v.dim)
+
+    def add(exps: list[int], value: int) -> None:
+        entry = form
+        for e in exps[:-1]:
+            entry = entry[e]
+        entry[exps[-1]] += value
+
+    add([0] * g, denom * v.chi_o)
     for weight, with_c2, j in todd:
         pair = c2_pair if with_c2 else intersection_number
         degree = v.dim - 2 * with_c2 - j
         for combo in combinations_with_replacement(range(g), degree):
-            exps = tuple(combo.count(i) for i in range(g))
+            exps = [combo.count(i) for i in range(g)]
             multinomial = factorial(degree) // prod(map(factorial, exps))
-            value = weight * multinomial * pair(v, [c1] * j + [units[i] for i in combo])
-            coeffs[exps] = coeffs.get(exps, 0) + value
-    return CompiledChi(denom, tuple((c, exps) for exps, c in coeffs.items() if c))
+            add(exps, weight * multinomial * pair(v, [c1] * j + [units[i] for i in combo]))
+    return CompiledChi(denom, _frozen(form, g))
+
+
+def _horner(form: tuple, x: tuple, i: int = 0) -> int:
+    """Value of a nested Horner form in x[i], x[i + 1], ... at the integer point x."""
+    head = x[i]
+    value = 0
+    if i + 1 == len(x):
+        for c in reversed(form):
+            value = value * head + c
+    else:
+        for entry in reversed(form):
+            value = value * head + _horner(entry, x, i + 1)
+    return value
 
 
 def chi_divisor(v: VarietyData, d: DivisorClass) -> int:
@@ -102,10 +145,10 @@ def chi_divisor(v: VarietyData, d: DivisorClass) -> int:
     Evaluates the compiled integer polynomial with a single exact division
     at the end; a remainder is a model inconsistency, never rounded away.
     """
-    _check_length(v, d)
+    if len(d.coeffs) != len(v.generators):
+        _check_length(v, d)  # raises; tested inline on this hot path
     chi = v.chi_polynomial
-    x = d.coeffs
-    scaled = sum(c * prod(map(pow, x, exps)) for c, exps in chi.terms)
+    scaled = _horner(chi.horner, d.coeffs)
     quotient, remainder = divmod(scaled, chi.denom)
     if remainder:
         raise ModelError(
@@ -116,55 +159,70 @@ def chi_divisor(v: VarietyData, d: DivisorClass) -> int:
 
 
 def _times(f: dict, g: dict) -> dict:
-    """Product of two polynomials keyed by exponent tuples."""
+    """Product of two polynomials keyed by packed exponents (see ``chi_multi``)."""
     out: dict = {}
     for a, x in f.items():
         for b, y in g.items():
-            key = tuple(map(add, a, b))
-            out[key] = out.get(key, 0) + x * y
+            out[a + b] = out.get(a + b, 0) + x * y
     return out
 
 
+def _substitute(form: tuple, forms: list[dict]) -> dict:
+    """A nested Horner form with x_j replaced by the polynomial ``forms[j]``, by Horner's rule."""
+    value: dict = {}
+    for entry in reversed(form):
+        if value:
+            value = _times(value, forms[0])
+        if len(forms) == 1:
+            if entry:
+                value[0] = value.get(0, 0) + entry
+        else:
+            for a, c in _substitute(entry, forms[1:]).items():
+                value[a] = value.get(a, 0) + c
+    return value
+
+
 def chi_multi(v: VarietyData, bundles: list[DivisorClass]) -> BinBasisPoly:
-    """Binomial-basis expansion of (t_1, ..., t_k) -> chi(t_1 D_1 + ... + t_k D_k)."""
+    """Binomial-basis expansion of (t_1, ..., t_k) -> chi(t_1 D_1 + ... + t_k D_k).
+
+    A monomial t^a is keyed by the integer sum of a_i * base^i: no
+    exponent exceeds dim < base, so a product of monomials is the sum of
+    their keys.
+    """
     k = len(bundles)
     if not 1 <= k <= v.dim:
         raise InputError(f"need between 1 and {v.dim} bundles, got {k}")
     _check_length(v, *bundles)
     chi = v.chi_polynomial
+    base = v.dim + 1
+    units = [base**axis for axis in range(k)]
 
     # x_j = sum_i t_i D_i[j]: each generator coordinate as a linear form in t
     forms = [
-        {
-            tuple(int(i == axis) for i in range(k)): b.coeffs[j]
-            for axis, b in enumerate(bundles)
-            if b.coeffs[j]
-        }
+        {unit: b.coeffs[j] for unit, b in zip(units, bundles) if b.coeffs[j]}
         for j in range(len(v.generators))
     ]
-    coeffs: dict = {}  # monomial basis, scaled by chi.denom
-    for c, exps in chi.terms:
-        term = {(0,) * k: c}
-        for form, e in zip(forms, exps):
-            for _ in range(e):
-                term = _times(term, form)
-        for a, value in term.items():
-            coeffs[a] = coeffs.get(a, 0) + value
+    coeffs = _substitute(chi.horner, forms)  # monomial basis, scaled by chi.denom
+    if 0 in coeffs:  # the constant term leads, as the failure text prints it
+        coeffs = {0: coeffs.pop(0), **coeffs}
 
-    for axis in range(k):  # t_axis^a -> binomial basis via _POWER_ROWS
+    for unit in units:  # t_axis^a -> binomial basis via _POWER_ROWS
         changed: dict = {}
         for a, value in coeffs.items():
-            for p, factor in _POWER_ROWS[a[axis]].items():
-                key = a[:axis] + (p,) + a[axis + 1 :]
+            e = a // unit % base
+            rest = a - e * unit
+            for p, factor in _POWER_ROWS[e].items():
+                key = rest + p * unit
                 changed[key] = changed.get(key, 0) + factor * value
         coeffs = changed
 
-    poly = BinBasisPoly(k, v.dim, {p: Fraction(c, chi.denom) for p, c in coeffs.items()})
-    if not poly.is_integral():
-        raise ModelError(
-            f"chi expansion on {v.name} has non-integer coefficients: {poly.coeffs}"
-        )
-    return poly
+    denom = chi.denom
+    indices = {a: tuple([a // unit % base for unit in units]) for a in coeffs}
+    if any(c % denom for c in coeffs.values()):
+        shown = {indices[a]: Fraction(c, denom) for a, c in coeffs.items() if c}
+        raise ModelError(f"chi expansion on {v.name} has non-integer coefficients: {shown}")
+    integral = {indices[a]: Fraction(c // denom) for a, c in coeffs.items() if c}
+    return BinBasisPoly(k, v.dim, integral)
 
 
 def h0_via_vanishing(v: VarietyData, d: DivisorClass) -> int:

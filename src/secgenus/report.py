@@ -8,14 +8,17 @@ checks never count as failures, but the CLI can be told to treat them as
 fatal (exit code 3).
 
 Reports serialize deterministically: same checks in, same bytes out.
+``to_json`` writes the bytes of ``json.dumps(to_dict(), indent=2,
+sort_keys=True)`` straight from the report's fixed layout, with the C
+string encoder for every string.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 
 def fmt(value) -> str:
@@ -50,6 +53,34 @@ class Check:
             "actual": self.actual,
             "pass": self.passed,
         }
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Encoded JSON values as a list opened at ``indent``, laid out as by ``json.dumps``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _check_json(c: Check) -> str:
+    if c.inputs:
+        pairs = ",\n".join(f"        {_quote(k)}: {_quote(v)}" for k, v in sorted(c.inputs.items()))
+        inputs = "{\n" + pairs + "\n      }"
+    else:
+        inputs = "{}"
+    return (
+        "{\n"
+        f'      "actual": {_quote(c.actual)},\n'
+        f'      "expected": {_quote(c.expected)},\n'
+        f'      "inputs": {inputs},\n'
+        f'      "name": {_quote(c.name)},\n'
+        f'      "pass": {_LITERALS[c.passed]}\n'
+        "    }"
+    )
 
 
 @dataclass
@@ -111,7 +142,25 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``, written from the known layout.
+
+        Keys appear in sorted order; every string goes through the C
+        string encoder that ``json.dumps`` itself uses for ASCII output.
+        """
+        s = self.summary()
+        return (
+            "{\n"
+            f'  "annotations": {_json_list([_quote(a) for a in self.annotations], "  ")},\n'
+            f'  "checks": {_json_list([_check_json(c) for c in self.checks], "  ")},\n'
+            f'  "suite": {_quote(self.title)},\n'
+            '  "summary": {\n'
+            f'    "abstained": {s["abstained"]},\n'
+            f'    "failed": {s["failed"]},\n'
+            f'    "passed": {s["passed"]},\n'
+            f'    "total": {s["total"]}\n'
+            "  }\n"
+            "}"
+        )
 
     def to_csv(self) -> str:
         buffer = io.StringIO()

@@ -174,7 +174,7 @@ def suite_additivity(
     entries = fourfold_entries() if entries is None else entries
     report = VerificationReport(title="additivity")
     rng = random.Random(seed)
-    for k in range(draws):
+    for k in range(draws) if entries else ():
         v = entries[rng.randrange(len(entries))]
         g = len(v.generators)
         i = rng.randint(1, v.dim - 1)
@@ -187,7 +187,7 @@ def suite_additivity(
             lambda: _equal(genus.additivity_residual(v, i, a, b, rest), 0),
             _inputs(v, i=i, A=a, B=b, rest=rest),
         )
-    return report
+    return _or_abstain(report, "no entry")
 
 
 def suite_bounds(entries: list[VarietyData] | None = None, m_max: int = 10) -> VerificationReport:
@@ -344,7 +344,7 @@ def suite_g0(
     entries = fourfold_entries() if entries is None else entries
     report = VerificationReport(title="g0")
     rng = random.Random(seed)
-    for k in range(draws):
+    for k in range(draws) if entries else ():
         v = entries[rng.randrange(len(entries))]
         g = len(v.generators)
         bundles = [_draw_class(rng, g, -2, 2) for _ in range(v.dim)]
@@ -354,7 +354,7 @@ def suite_g0(
             lambda: _equal(genus.g_i(v, 0, bundles), intersection_number(v, bundles)),
             _inputs(v, bundles=bundles),
         )
-    return report
+    return _or_abstain(report, "no entry")
 
 
 def suite_serre(
@@ -396,27 +396,37 @@ def suite_serre(
     return _or_abstain(report, "no entry")
 
 
+# how an input error names each argument a caller may give, and why no suite may take it
+_ARGUMENTS = {
+    "draws": ("a draw count", "it draws nothing"),
+    "seed": ("a seed", "it draws nothing"),
+    "m_max": ("m_max", "it checks no range of multiples"),
+}
+
+
 def run_suites(
     names: list[str], draws: int | None = None, seed: int | None = None, m_max: int | None = None
 ) -> VerificationReport:
     """Run the named suites in order, each given those of the caller's arguments it takes.
 
-    An argument left as None keeps each suite's own default.  A draw
-    count below 1, an ``m_max`` below 2, and a draw count for a selection
-    in which no suite draws are input errors.
+    An argument left as None keeps each suite's own default.  An argument
+    that no selected suite takes, a draw count below 1 and an ``m_max``
+    below 2 are input errors.
     """
     unknown = [name for name in names if name not in SUITE_NAMES]
     if unknown:
         raise InputError(f"unknown suite {unknown[0]!r}; choose from {SUITE_NAMES}")
+    # suites are looked up by name at each run, so a rebound suite is the one run
+    takes = {name: inspect.signature(globals()[f"suite_{name}"]).parameters for name in names}
+    given = {"draws": draws, "seed": seed, "m_max": m_max}
+    for key, value in given.items():
+        if value is not None and not any(key in params for params in takes.values()):
+            label, reason = _ARGUMENTS[key]
+            raise InputError(f"{label} does not apply to {'+'.join(names)}: {reason}")
     if draws is not None and draws < 1:
         raise InputError(f"a draw count must be at least 1, not {draws}")
     if m_max is not None and m_max < 2:
         raise InputError(f"m_max must be at least 2, not {m_max}")
-    # suites are looked up by name at each run, so a rebound suite is the one run
-    takes = {name: inspect.signature(globals()[f"suite_{name}"]).parameters for name in names}
-    if draws is not None and not any("draws" in params for params in takes.values()):
-        raise InputError(f"a draw count does not apply to {'+'.join(names)}: it draws nothing")
-    given = {"draws": draws, "seed": seed, "m_max": m_max}
     merged = VerificationReport(title="+".join(names))
     for name in names:
         kwargs = {k: v for k, v in given.items() if v is not None and k in takes[name]}

@@ -539,22 +539,13 @@ def validate(v: VarietyData) -> VerificationReport:
                 if not v.is_ample(d - v.canonical):
                     continue
                 count = h0_exact(v, d)
+                name = f"chi({m}*({v.divisor_string(ample)})) matches section count"
                 try:
                     chi = hrr.chi_divisor(v, d)
                 except ModelError as exc:
-                    report.add(
-                        f"chi({m}{v.divisor_string(ample)}) matches section count",
-                        False,
-                        expected=count,
-                        actual=str(exc),
-                    )
+                    report.add(name, False, expected=count, actual=str(exc))
                     continue
-                report.add(
-                    f"chi({m}{v.divisor_string(ample)}) matches section count",
-                    chi == count,
-                    expected=count,
-                    actual=chi,
-                )
+                report.add(name, chi == count, expected=count, actual=chi)
 
     if v.polarization is not None:
         try:

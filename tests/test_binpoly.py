@@ -177,3 +177,14 @@ def test_json_dict_round_trip_shape():
     blob = poly.to_json_dict()
     assert blob["arity"] == 1 and blob["max_degree"] == 4
     assert [[0], 2, 1] in blob["coeffs"]
+
+
+def test_fraction_coefficients_are_kept_and_checked():
+    half = Fraction(1, 2)
+    poly = BinBasisPoly(2, 2, {(1, 0): half, (0, 1): 3, (0, 0): Fraction(0)})
+    assert poly.coeffs[(1, 0)] is half
+    assert poly.coeffs == {(1, 0): half, (0, 1): Fraction(3)}
+    assert type(poly.coeffs[(0, 1)]) is Fraction
+    for index in [(1,), (-1, 1), (2, 1)]:
+        with pytest.raises(InputError):
+            BinBasisPoly(2, 2, {index: Fraction(1)})

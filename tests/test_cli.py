@@ -119,6 +119,21 @@ def test_verify_draws_rejected_where_nothing_is_drawn(capsys, suite):
 
 
 @pytest.mark.parametrize(
+    "argv", [("--suite", "jumps", "--seed", "12345"), ("--suite", "g0", "--m-max", "1")]
+)
+def test_verify_arguments_no_selected_suite_reads_exit_two(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "input error" in err and "does not apply to" in err
+
+
+def test_verify_all_takes_a_seed(capsys):
+    code, out, _ = run(capsys, "--format", "json", "verify", "--suite", "all", "--seed", "7")
+    assert code == 0
+    assert out == run(capsys, "--format", "json", "verify", "--suite", "all")[1]
+
+
+@pytest.mark.parametrize(
     "argv", [("--suite", "all", "--draws", "-3"), ("--suite", "bounds", "--m-max", "-2")]
 )
 def test_verify_out_of_range_counts_exit_two(capsys, argv):

@@ -16,6 +16,7 @@ from secgenus.variety import (
     h0_exact,
     intersection_number,
     validate,
+    variety_from_json,
 )
 
 
@@ -236,3 +237,82 @@ def test_non_integer_valued_chi_fails_integrality(x6):
     assert all(c.passed for c in report.checks if "parity" in c.name)
     checks = {c.name: c for c in validate(planted).checks}
     assert checks["chi expansion integral"].passed is False
+
+
+def test_compiled_chi_is_a_nested_horner_form(p4, catalog):
+    # 24 chi(tH) = t^4 + 10t^3 + 35t^2 + 50t + 24 on P4
+    assert p4.chi_polynomial.denom == 24
+    assert p4.chi_polynomial.horner == (24, 50, 35, 10, 1)
+    # 24 chi(xa + yb) = 6 (x^2 + 3x + 2)(y^2 + 3y + 2) on P2xP2: entry a is the
+    # coefficient of x^a, a form in y; a^3 = 0 leaves no entry past x^2
+    p2xp2 = catalog["P2xP2"]
+    assert p2xp2.chi_polynomial.horner == ((24, 36, 12), (36, 54, 18), (12, 18, 6))
+
+
+def _monomial_key(exps, names):
+    return " ".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
+
+
+def _p1xp1xp2(drop=None):
+    """P1 x P1 x P2 with hyperplane classes a, b, c: a^2 = b^2 = c^3 = 0, a b c^2 = 1."""
+    names = ("a", "b", "c")
+    quartics = [e for e in product(range(5), repeat=3) if sum(e) == 4]
+    # c_2 = 4ab + 6ac + 6bc + 3c^2, from c(X) = (1 + 2a)(1 + 2b)(1 + 3c + 3c^2)
+    c2 = {"a^2": 0, "a b": 3, "a c": 6, "b^2": 0, "b c": 6, "c^2": 4}
+    return variety_from_json(
+        {
+            "name": "P1xP1xP2",
+            "dim": 4,
+            "generators": list(names),
+            "intersections": {
+                _monomial_key(e, names): int(e == (1, 1, 2)) for e in quartics if e != drop
+            },
+            "canonical": [-2, -2, -3],
+            "c2_pairings": c2,
+            "hodge": [1, 0, 0, 0, 0],
+            "nef_cone": "orthant",
+            "oracle": None,
+            "polarization": [1, 1, 1],
+        }
+    )
+
+
+def test_three_generator_chi_matches_reference():
+    v = _p1xp1xp2()
+    assert validate(v).passed
+    rng = random.Random(33)
+    for _ in range(60):
+        d = _draw(rng, 3, -5, 5)
+        x, y, z = d.coeffs
+        value = chi_divisor(v, d)
+        assert value == reference_chi(v, d), d
+        # chi(O(x, y, z)) = (x + 1)(y + 1)(z + 1)(z + 2)/2, independent of the tables
+        assert value == (x + 1) * (y + 1) * (z + 1) * (z + 2) // 2, d
+
+
+def test_three_generator_chi_multi_matches_reference_interpolation():
+    v = _p1xp1xp2()
+    rng = random.Random(34)
+    for arity in range(1, 5):
+        for _ in range(2):
+            bundles = [_draw(rng, 3, -2, 2) for _ in range(arity)]
+
+            def reference(*point):
+                combined = v.zero()
+                for t, bundle in zip(point, bundles):
+                    combined = combined + t * bundle
+                return reference_chi(v, combined)
+
+            expected = coefficients_from_oracle(reference, arity, v.dim)
+            assert chi_multi(v, bundles).coeffs == expected.coeffs, bundles
+
+
+def test_three_generator_missing_monomial_message():
+    broken = _p1xp1xp2(drop=(1, 1, 2))
+    message = "P1xP1xP2 intersection table is missing monomial (1, 1, 2)"
+    with pytest.raises(ModelError) as raised:
+        chi_divisor(broken, broken.divisor("1a+1b+1c"))
+    assert str(raised.value) == message
+    with pytest.raises(ModelError) as raised:
+        chi_multi(broken, [broken.divisor("1c"), broken.divisor("1a")])
+    assert str(raised.value) == message

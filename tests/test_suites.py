@@ -150,6 +150,8 @@ def test_planted_model_reports_are_pinned(catalog, model, name):
         ("c2bound", "P3"),
         ("integrality", None),  # no entry at all
         ("serre", None),
+        ("additivity", None),
+        ("g0", None),
     ],
 )
 def test_suite_without_usable_entry_abstains(catalog, name, entry):
@@ -162,6 +164,29 @@ def test_suite_without_usable_entry_abstains(catalog, name, entry):
 def test_out_of_range_counts_rejected(kwargs):
     with pytest.raises(InputError, match="must be at least"):
         run_suites(list(SUITE_NAMES), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "names, kwargs, message",
+    [
+        (["jumps"], {"seed": 12345}, "a seed does not apply to jumps: it draws nothing"),
+        (["jumps", "bounds"], {"seed": 3}, "a seed does not apply to jumps+bounds"),
+        (["g0"], {"m_max": 6}, "m_max does not apply to g0"),
+        (["g0"], {"m_max": 1}, "m_max does not apply to g0"),  # before its range is read
+        (["closed", "serre"], {"m_max": 4}, "m_max does not apply to closed+serre"),
+        (["bounds"], {"draws": 3}, "a draw count does not apply to bounds: it draws nothing"),
+    ],
+)
+def test_arguments_no_selected_suite_takes_rejected(names, kwargs, message):
+    with pytest.raises(InputError, match=message.replace("+", r"\+")):
+        run_suites(names, **kwargs)
+
+
+def test_arguments_taken_by_one_selected_suite_accepted():
+    # jumps reads m_max (4 entries, m = 2..4), g0 reads the seed and the draw count
+    report = run_suites(["jumps", "g0"], seed=3, m_max=4, draws=2)
+    assert report.summary() == {"total": 12 + 2, "passed": 14, "failed": 0, "abstained": 0}
+    assert run_suites(["jumps"], m_max=3).to_json() == suite_jumps(m_max=3).to_json()
 
 
 def _abstain(*args, **kwargs):

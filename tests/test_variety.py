@@ -154,6 +154,13 @@ def test_validate_catalog_passes(catalog):
         assert report.passed, report.to_table()
 
 
+def test_validate_labels_keep_the_multiple_apart(catalog, x6):
+    names = [c.name for c in validate(catalog["P2xP2"]).checks if "section count" in c.name]
+    assert names == [f"chi({m}*(1a+1b)) matches section count" for m in (1, 2, 3)]
+    names = [c.name for c in validate(x6).checks if "section count" in c.name]
+    assert names == [f"chi({m}*(1H)) matches section count" for m in (1, 2, 3)]
+
+
 def test_validate_catches_corrupted_form(x6):
     import dataclasses
 
