@@ -31,19 +31,19 @@ def _reference(report: VerificationReport) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 
+def _added() -> VerificationReport:
+    """A report filled through ``add``, which formats non-string values."""
+    report = VerificationReport(title='suite "q"', annotations=["note \x00 end"])
+    report.add("plain", True, 1, 1)
+    report.add("with inputs", False, "a\\b", "ünï", inputs={"z": 2, "a": "x\ny", "m": True})
+    report.add("abstained", None, note="why", inputs={})
+    return report
+
+
 @settings(deadline=None)
 @given(reports)
 @example(VerificationReport(title=""))
 @example(VerificationReport(title="t", checks=[Check(name="abstained", passed=None)]))
+@example(_added())
 def test_to_json_equals_json_dumps(report):
     assert report.to_json() == _reference(report)
-
-
-def test_to_json_of_added_checks():
-    report = VerificationReport(title="suite \"q\"")
-    report.add("plain", True, 1, 1)
-    report.add("with inputs", False, "a\\b", "ünï", inputs={"z": 2, "a": "x\ny", "m": True})
-    report.add("abstained", None, note="why", inputs={})
-    report.annotations.append("note \x00 end")
-    assert report.to_json() == _reference(report)
-    assert json.loads(report.to_json()) == report.to_dict()
