@@ -13,8 +13,11 @@ It is kept in nested Horner form, one level per generator:
     denom * chi(D) = P(x_1, ..., x_g) = sum_a x_1^a P_a(x_2, ..., x_g),
 
 with P_a nested the same way in x_2, ..., x_g.  ``compile_chi`` writes
-that form from the model's intersection form and c_2 pairings; each
-model compiles once, on first use (``VarietyData.chi_polynomial``).
+that form straight from the model's pairing tables: it expands c_1^j
+(j = 0, 1, 2) once into monomials x^f with multinomial weights w_f and
+reads each coefficient as sum_f w_f * table[e + f], building no divisor
+classes; each model compiles once, on first use
+(``VarietyData.chi_polynomial``).
 ``chi_divisor`` evaluates it by Horner's rule in integers and divides
 once: a remainder is a model inconsistency, not a rounding situation.
 ``chi_multi`` substitutes D = t_1 D_1 + ... + t_k D_k by Horner's rule
@@ -44,14 +47,7 @@ from math import factorial, prod
 
 from .binpoly import BinBasisPoly
 from .errors import AbstainError, InputError, ModelError
-from .variety import (
-    DivisorClass,
-    VarietyData,
-    _check_length,
-    c2_pair,
-    h0_exact,
-    intersection_number,
-)
+from .variety import DivisorClass, VarietyData, _check_length, _missing_monomial, h0_exact
 
 # dim -> (denominator, terms of denom * (chi(D) - chi(O))); a term
 # (weight, pairs with c_2, number of c_1 factors) stands for
@@ -97,16 +93,37 @@ def _frozen(form: list, depth: int) -> tuple:
     return tuple(entries)
 
 
+def _c1_powers(c1: list[int]) -> list[list[tuple[list[int], int]]]:
+    """c_1^j for j = 0, 1, 2 as (exponents, weight) monomials over c_1's support.
+
+    The weight of x^f is multinomial(j; f) * prod c_1[i]^f_i; monomials come
+    in ``combinations_with_replacement`` order, the order in which the
+    multilinear expansion of c_1^j first meets each of them.
+    """
+    g = len(c1)
+    support = [i for i in range(g) if c1[i]]
+    powers = []
+    for j in range(3):
+        terms = []
+        for combo in combinations_with_replacement(support, j):
+            exps = [combo.count(i) for i in range(g)]
+            multinomial = factorial(j) // prod(map(factorial, exps))
+            terms.append((exps, multinomial * prod(c1[i] for i in combo)))
+        powers.append(terms)
+    return powers
+
+
 def compile_chi(v: VarietyData) -> CompiledChi:
     """The closed form as an integer polynomial in the generator coordinates.
 
-    Each coefficient pairs c_1 and c_2 with one monomial of generators, so
-    a monomial missing from either table raises the pairing's ModelError.
+    The coefficient of x^e in a term c_1^j D^(rest) (or c_2 c_1^j D^(rest))
+    is read off the pairing table as sum_f w_f * table[e + f] over the
+    monomials w_f x^f of c_1^j, so a monomial missing from either table
+    raises the same ModelError as the pairing functions would.
     """
     g = len(v.generators)
     denom, todd = _TODD[v.dim]
-    c1 = -v.canonical
-    units = [v.generator(name) for name in v.generators]
+    c1_powers = _c1_powers([-k for k in v.canonical.coeffs])
     form = _zero_form(g, v.dim)
 
     def add(exps: list[int], value: int) -> None:
@@ -117,12 +134,18 @@ def compile_chi(v: VarietyData) -> CompiledChi:
 
     add([0] * g, denom * v.chi_o)
     for weight, with_c2, j in todd:
-        pair = c2_pair if with_c2 else intersection_number
+        table, what = (v.c2_pairings, "c2") if with_c2 else (v.intersection_form, "intersection")
         degree = v.dim - 2 * with_c2 - j
         for combo in combinations_with_replacement(range(g), degree):
             exps = [combo.count(i) for i in range(g)]
             multinomial = factorial(degree) // prod(map(factorial, exps))
-            add(exps, weight * multinomial * pair(v, [c1] * j + [units[i] for i in combo]))
+            paired = 0
+            for f, w in c1_powers[j]:
+                key = tuple([a + b for a, b in zip(exps, f)])
+                if key not in table:
+                    raise _missing_monomial(v, what, key)
+                paired += w * table[key]
+            add(exps, weight * multinomial * paired)
     return CompiledChi(denom, _frozen(form, g))
 
 

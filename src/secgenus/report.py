@@ -101,9 +101,9 @@ class VerificationReport:
         check = Check(
             name=name,
             passed=passed,
-            expected=fmt(expected),
-            actual=fmt(actual),
-            inputs={k: fmt(v) for k, v in (inputs or {}).items()},
+            expected=expected if type(expected) is str else fmt(expected),
+            actual=actual if type(actual) is str else fmt(actual),
+            inputs={k: fmt(v) for k, v in inputs.items()} if inputs else {},
             note=note,
         )
         self.checks.append(check)

@@ -34,6 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import comb
+from operator import add, neg, sub
 from pathlib import Path
 
 from .errors import AbstainError, InputError, ModelError
@@ -52,16 +53,18 @@ class DivisorClass:
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if len(other.coeffs) != len(self.coeffs):
             raise InputError("divisor classes live on different generator lists")
-        return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return DivisorClass(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-other)
+        if len(other.coeffs) != len(self.coeffs):
+            raise InputError("divisor classes live on different generator lists")
+        return DivisorClass(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(tuple(-a for a in self.coeffs))
+        return DivisorClass(tuple(map(neg, self.coeffs)))
 
     def __mul__(self, scalar: int) -> "DivisorClass":
-        return DivisorClass(tuple(scalar * a for a in self.coeffs))
+        return DivisorClass(tuple([scalar * a for a in self.coeffs]))
 
     __rmul__ = __mul__
 
@@ -112,9 +115,9 @@ class VarietyData:
 
     # -- basic queries ---------------------------------------------------
 
-    @property
+    @cached_property
     def chi_o(self) -> int:
-        """chi(O) = alternating sum of the Hodge numbers."""
+        """chi(O) = alternating sum of the Hodge numbers, summed on first use."""
         return sum((-1) ** i * h for i, h in enumerate(self.hodge))
 
     @cached_property
@@ -221,6 +224,11 @@ def _check_length(v: VarietyData, *classes: DivisorClass) -> None:
             )
 
 
+def _missing_monomial(v: VarietyData, what: str, key: tuple[int, ...]) -> ModelError:
+    """The error for a pairing-table lookup of a monomial the model does not give."""
+    return ModelError(f"{v.name} {what} table is missing monomial {key}")
+
+
 def _expand(
     v: VarietyData,
     table: dict[tuple[int, ...], int],
@@ -243,7 +251,7 @@ def _expand(
             exps[g] += 1
         key = tuple(exps)
         if key not in table:
-            raise ModelError(f"{v.name} {what} table is missing monomial {key}")
+            raise _missing_monomial(v, what, key)
         total += coeff * table[key]
     return total
 
@@ -493,7 +501,16 @@ def h0_exact(v: VarietyData, d: DivisorClass) -> int:
 
 
 def validate(v: VarietyData) -> VerificationReport:
-    """Consistency checks; a failing report invalidates downstream results."""
+    """Consistency checks; a failing report invalidates downstream results.
+
+    "chi expansion integral" asks whether t -> chi(tL) is integer-valued
+    on Z, L the polarization.  It is a polynomial of degree <= n in t, and
+    such a polynomial is integer-valued as soon as it takes integer values
+    at n + 1 consecutive integers (its binomial-basis coefficients are its
+    forward differences there).  So the check evaluates the compiled form
+    at t = 0..n, and runs ``hrr.chi_multi`` only when a value is not an
+    integer, to word the failure with its coefficients.
+    """
     from . import hrr  # local import: hrr builds on this module
 
     report = VerificationReport(title=f"validate:{v.name}")
@@ -548,8 +565,14 @@ def validate(v: VarietyData) -> VerificationReport:
                 report.add(name, chi == count, expected=count, actual=chi)
 
     if v.polarization is not None:
+        ell = v.polarization.coeffs
         try:
-            hrr.chi_multi(v, [v.polarization])
+            compiled = v.chi_polynomial
+            if any(
+                hrr._horner(compiled.horner, tuple([t * c for c in ell])) % compiled.denom
+                for t in range(v.dim + 1)
+            ):
+                hrr.chi_multi(v, [v.polarization])  # raises with the failing coefficients
         except ModelError as exc:
             report.add("chi expansion integral", False, actual=str(exc))
         else:

@@ -1,13 +1,24 @@
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
+from math import factorial, prod
 
 import pytest
 
 from secgenus.binpoly import coefficients_from_oracle
 from secgenus.errors import AbstainError, InputError, ModelError
-from secgenus.hrr import chi_divisor, chi_multi, h0_certified, h0_via_vanishing
+from secgenus.hrr import (
+    _TODD,
+    CompiledChi,
+    _frozen,
+    _zero_form,
+    chi_divisor,
+    chi_multi,
+    compile_chi,
+    h0_certified,
+    h0_via_vanishing,
+)
 from secgenus.suites import suite_integrality
 from secgenus.variety import (
     DivisorClass,
@@ -316,3 +327,58 @@ def test_three_generator_missing_monomial_message():
     with pytest.raises(ModelError) as raised:
         chi_multi(broken, [broken.divisor("1c"), broken.divisor("1a")])
     assert str(raised.value) == message
+
+
+def reference_compile_chi(v) -> CompiledChi:
+    """``compile_chi`` built through the pairing functions, on [c_1] * j + generator lists."""
+    g = len(v.generators)
+    denom, todd = _TODD[v.dim]
+    c1 = -v.canonical
+    units = [v.generator(name) for name in v.generators]
+    form = _zero_form(g, v.dim)
+
+    def add(exps, value):
+        entry = form
+        for e in exps[:-1]:
+            entry = entry[e]
+        entry[exps[-1]] += value
+
+    add([0] * g, denom * v.chi_o)
+    for weight, with_c2, j in todd:
+        pair = c2_pair if with_c2 else intersection_number
+        degree = v.dim - 2 * with_c2 - j
+        for combo in combinations_with_replacement(range(g), degree):
+            exps = [combo.count(i) for i in range(g)]
+            multinomial = factorial(degree) // prod(map(factorial, exps))
+            add(exps, weight * multinomial * pair(v, [c1] * j + [units[i] for i in combo]))
+    return CompiledChi(denom, _frozen(form, g))
+
+
+def _without(v, dropped):
+    """v with the (table field, monomial) pairs in ``dropped`` left out of its tables."""
+    tables = {}
+    for field in ("intersection_form", "c2_pairings"):
+        gone = {key for f, key in dropped if f == field}
+        tables[field] = {k: x for k, x in getattr(v, field).items() if k not in gone}
+    return dataclasses.replace(v, **tables)
+
+
+def test_compile_chi_matches_pairing_reference(catalog):
+    # every monomial lookup the reference makes, compile_chi makes in the same
+    # order: equal forms, and the same error text for one or two missing monomials
+    raised = 0
+    for v in [*catalog.values(), _p1xp1xp2()]:
+        assert compile_chi(v) == reference_compile_chi(v), v.name
+        keys = [(f, key) for f in ("intersection_form", "c2_pairings") for key in getattr(v, f)]
+        for dropped in [*combinations(keys, 1), *combinations(keys, 2)]:
+            broken = _without(v, dropped)
+            try:
+                want = reference_compile_chi(broken)
+            except ModelError as exc:
+                with pytest.raises(ModelError) as got:
+                    chi_divisor(broken, broken.polarization)
+                assert str(got.value) == str(exc), (v.name, dropped)
+                raised += 1
+            else:
+                assert broken.chi_polynomial == want, (v.name, dropped)
+    assert raised > 300

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from secgenus.errors import AbstainError, InputError, ModelError
+from secgenus.hrr import chi_multi
 from secgenus.suites import get_catalog
 from secgenus.variety import (
     NEG_INF,
@@ -167,6 +169,51 @@ def test_validate_catches_corrupted_form(x6):
     corrupted = dataclasses.replace(x6, intersection_form={(4,): 5})
     report = validate(corrupted)
     assert not report.passed
+
+
+def test_validate_ray_check_agrees_with_chi_multi(catalog):
+    # "chi expansion integral" reads n + 1 values of chi(tL); it must pass
+    # exactly when chi_multi(v, [L]) succeeds, and fail with its message
+    outcomes = set()
+    for v in catalog.values():
+        for field in ("intersection_form", "c2_pairings"):
+            table = getattr(v, field)
+            for key in table:
+                for offset in range(1, 24):
+                    planted = dataclasses.replace(v, **{field: {**table, key: table[key] + offset}})
+                    report = validate(planted)
+                    [check] = [c for c in report.checks if c.name == "chi expansion integral"]
+                    try:
+                        chi_multi(planted, [planted.polarization])
+                    except ModelError as exc:
+                        assert (check.passed, check.expected, check.actual) == (False, "", str(exc))
+                    else:
+                        assert (check.passed, check.expected, check.actual) == (
+                            True,
+                            "integer coefficients",
+                            "ok",
+                        )
+                    outcomes.add(check.passed)
+    assert outcomes == {True, False}
+
+
+def test_divisor_class_arithmetic():
+    a, b, short = DivisorClass((2, -3)), DivisorClass((-1, 5)), DivisorClass((1,))
+    assert a + b == DivisorClass((1, 2))
+    assert a - b == DivisorClass((3, -8)) == a + (-b)
+    assert -a == DivisorClass((-2, 3))
+    for k in (-2, 0, 3):
+        assert k * a == a * k == DivisorClass(tuple(k * c for c in a.coeffs))
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        for x, y in ((a, short), (short, a)):
+            with pytest.raises(InputError) as raised:
+                op(x, y)
+            assert str(raised.value) == "divisor classes live on different generator lists"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.coeffs = (0, 0)
+    assert a == DivisorClass((2, -3)) and a != b and a != (2, -3)
+    assert hash(a) == hash(DivisorClass((2, -3))) == hash(((2, -3),))
+    assert len({a, DivisorClass((2, -3)), a - b + b}) == 1
 
 
 def test_kappa_declarations(catalog):
