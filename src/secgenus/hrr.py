@@ -13,10 +13,11 @@ It is kept in nested Horner form, one level per generator:
     denom * chi(D) = P(x_1, ..., x_g) = sum_a x_1^a P_a(x_2, ..., x_g),
 
 with P_a nested the same way in x_2, ..., x_g.  ``compile_chi`` writes
-that form straight from the model's pairing tables: it expands c_1^j
-(j = 0, 1, 2) once into monomials x^f with multinomial weights w_f and
-reads each coefficient as sum_f w_f * table[e + f], building no divisor
-classes; each model compiles once, on first use
+that form straight from the model's pairing tables: it reads each table
+once, as F_0(e) = table[e], gets the form of each further factor of c_1
+by contracting the previous one, F_j(e) = sum_i c_1[i] * F_(j-1)(e + u_i),
+and adds weight * multinomial(e) * F_j(e) to the coefficient of x^e,
+building no divisor classes; each model compiles once, on first use
 (``VarietyData.chi_polynomial``).
 ``chi_divisor`` evaluates it by Horner's rule in integers and divides
 once: a remainder is a model inconsistency, not a rounding situation.
@@ -42,16 +43,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import factorial, prod
 
 from .binpoly import BinBasisPoly
 from .errors import AbstainError, InputError, ModelError
-from .variety import DivisorClass, VarietyData, _check_length, _missing_monomial, h0_exact
+from .variety import (
+    DivisorClass,
+    VarietyData,
+    _check_length,
+    _missing_monomial,
+    _monomials,
+    h0_exact,
+)
 
 # dim -> (denominator, terms of denom * (chi(D) - chi(O))); a term
 # (weight, pairs with c_2, number of c_1 factors) stands for
-# weight * (c_2 or 1) * c_1^j * D^(rest).
+# weight * (c_2 or 1) * c_1^j * D^(rest).  ``compile_chi`` contracts each
+# term's form from the one before it, so within each table (with or without
+# c_2) the terms must come with j = 0, 1, 2 in this order.
 _TODD = {
     1: (1, ((1, False, 0),)),
     2: (2, ((1, False, 0), (1, False, 1))),
@@ -78,75 +87,51 @@ class CompiledChi:
     horner: tuple
 
 
-def _zero_form(depth: int, degree: int) -> list:
-    """Nested lists of zeros for every monomial of total degree <= ``degree``."""
+def _nest(terms: dict, depth: int) -> tuple:
+    """The sparse form {exponents: coefficient} as a nested Horner form."""
+    groups: dict = {}
+    for exps, c in terms.items():
+        if c:
+            groups.setdefault(exps[0], {})[exps[1:]] = c
+    top = max(groups, default=-1) + 1
     if depth == 1:
-        return [0] * (degree + 1)
-    return [_zero_form(depth - 1, degree - a) for a in range(degree + 1)]
-
-
-def _frozen(form: list, depth: int) -> tuple:
-    """``form`` as nested tuples, without trailing zero entries."""
-    entries = [_frozen(entry, depth - 1) for entry in form] if depth > 1 else form
-    while entries and not entries[-1]:
-        entries.pop()
-    return tuple(entries)
-
-
-def _c1_powers(c1: list[int]) -> list[list[tuple[list[int], int]]]:
-    """c_1^j for j = 0, 1, 2 as (exponents, weight) monomials over c_1's support.
-
-    The weight of x^f is multinomial(j; f) * prod c_1[i]^f_i; monomials come
-    in ``combinations_with_replacement`` order, the order in which the
-    multilinear expansion of c_1^j first meets each of them.
-    """
-    g = len(c1)
-    support = [i for i in range(g) if c1[i]]
-    powers = []
-    for j in range(3):
-        terms = []
-        for combo in combinations_with_replacement(support, j):
-            exps = [combo.count(i) for i in range(g)]
-            multinomial = factorial(j) // prod(map(factorial, exps))
-            terms.append((exps, multinomial * prod(c1[i] for i in combo)))
-        powers.append(terms)
-    return powers
+        return tuple(groups[a][()] if a in groups else 0 for a in range(top))
+    return tuple(_nest(groups.get(a, {}), depth - 1) for a in range(top))
 
 
 def compile_chi(v: VarietyData) -> CompiledChi:
     """The closed form as an integer polynomial in the generator coordinates.
 
     The coefficient of x^e in a term c_1^j D^(rest) (or c_2 c_1^j D^(rest))
-    is read off the pairing table as sum_f w_f * table[e + f] over the
-    monomials w_f x^f of c_1^j, so a monomial missing from either table
-    raises the same ModelError as the pairing functions would.
+    is multinomial(e) * F_j(e), where F_0 is the pairing table and
+    F_j(e) = sum_i c_1[i] * F_(j-1)(e + u_i) contracts the previous term
+    once with c_1.  Each table is read once, at j = 0, so a monomial
+    missing from either table raises the same ModelError as the pairing
+    functions would.
     """
     g = len(v.generators)
     denom, todd = _TODD[v.dim]
-    c1_powers = _c1_powers([-k for k in v.canonical.coeffs])
-    form = _zero_form(g, v.dim)
-
-    def add(exps: list[int], value: int) -> None:
-        entry = form
-        for e in exps[:-1]:
-            entry = entry[e]
-        entry[exps[-1]] += value
-
-    add([0] * g, denom * v.chi_o)
+    c1 = [(i, -k) for i, k in enumerate(v.canonical.coeffs) if k]
+    terms = {(0,) * g: denom * v.chi_o}
     for weight, with_c2, j in todd:
-        table, what = (v.c2_pairings, "c2") if with_c2 else (v.intersection_form, "intersection")
         degree = v.dim - 2 * with_c2 - j
-        for combo in combinations_with_replacement(range(g), degree):
-            exps = [combo.count(i) for i in range(g)]
-            multinomial = factorial(degree) // prod(map(factorial, exps))
-            paired = 0
-            for f, w in c1_powers[j]:
-                key = tuple([a + b for a, b in zip(exps, f)])
+        if j == 0:
+            table = v.c2_pairings if with_c2 else v.intersection_form
+            what = "c2" if with_c2 else "intersection"
+            form = {}
+            for key in _monomials(g, degree):
                 if key not in table:
                     raise _missing_monomial(v, what, key)
-                paired += w * table[key]
-            add(exps, weight * multinomial * paired)
-    return CompiledChi(denom, _frozen(form, g))
+                form[key] = table[key]
+        else:
+            form = {
+                e: sum([c * form[(*e[:i], e[i] + 1, *e[i + 1 :])] for i, c in c1])
+                for e in _monomials(g, degree)
+            }
+        for e, value in form.items():
+            multinomial = factorial(degree) // prod(map(factorial, e))
+            terms[e] = terms.get(e, 0) + weight * multinomial * value
+    return CompiledChi(denom, _nest(terms, g))
 
 
 def _horner(form: tuple, x: tuple, i: int = 0) -> int:
@@ -226,8 +211,6 @@ def chi_multi(v: VarietyData, bundles: list[DivisorClass]) -> BinBasisPoly:
         for j in range(len(v.generators))
     ]
     coeffs = _substitute(chi.horner, forms)  # monomial basis, scaled by chi.denom
-    if 0 in coeffs:  # the constant term leads, as the failure text prints it
-        coeffs = {0: coeffs.pop(0), **coeffs}
 
     for unit in units:  # t_axis^a -> binomial basis via _POWER_ROWS
         changed: dict = {}
@@ -242,7 +225,7 @@ def chi_multi(v: VarietyData, bundles: list[DivisorClass]) -> BinBasisPoly:
     denom = chi.denom
     indices = {a: tuple([a // unit % base for unit in units]) for a in coeffs}
     if any(c % denom for c in coeffs.values()):
-        shown = {indices[a]: Fraction(c, denom) for a, c in coeffs.items() if c}
+        shown = dict(sorted((indices[a], Fraction(c, denom)) for a, c in coeffs.items() if c))
         raise ModelError(f"chi expansion on {v.name} has non-integer coefficients: {shown}")
     integral = {indices[a]: Fraction(c // denom) for a, c in coeffs.items() if c}
     return BinBasisPoly(k, v.dim, integral)

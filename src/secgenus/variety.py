@@ -737,11 +737,18 @@ def variety_from_json(data: dict) -> VarietyData:
         _check_oracle(data.get("oracle"), dim, len(generators))
         decls = {}
         for key, raw in (data.get("kappa_adjoint") or {}).items():
-            decls[key] = AdjointDeclaration(
+            # stored under the spelling declaration_for looks up
+            canonical = format_divisor(parse_divisor(key, generators), generators)
+            if canonical in decls:
+                raise InputError(f"kappa_adjoint keys name the class {canonical} twice")
+            fine_type = raw.get("fine_type")
+            if fine_type is not None and not isinstance(fine_type, str):
+                raise InputError(f"fine_type must be a JSON string or null, got {fine_type!r}")
+            decls[canonical] = AdjointDeclaration(
                 kappa={
                     int(a): _kappa_from_json(k, dim) for a, k in (raw.get("kappa") or {}).items()
                 },
-                fine_type=raw.get("fine_type"),
+                fine_type=fine_type,
             )
         pol = data.get("polarization")
         return VarietyData(

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from secgenus.cli import main
-from secgenus.variety import save_variety
+from secgenus.variety import save_variety, variety_to_json
 
 
 def run(capsys, *argv):
@@ -181,6 +181,16 @@ def test_verify_all_golden_report(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256_SEED_7
 
 
+# SHA-256 of the `verify --suite all` JSON report at the hold-out seed 4634.
+REPORT_SHA256_SEED_4634 = "e82b637bdaf38e9f9c9bf3475cb8f8eb2e7cfa740762c1417fff92cc5ce865c0"
+
+
+def test_verify_all_holdout_seed_report(capsys):
+    code, out, _ = run(capsys, "--format", "json", "verify", "--suite", "all", "--seed", "4634")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256_SEED_4634
+
+
 def test_global_flags_in_either_position(capsys):
     tail = ("verify", "--suite", "g0", "--seed", "5", "--draws", "3")
     before = run(capsys, "--format", "csv", *tail)
@@ -288,3 +298,31 @@ def test_parse_error_positions(capsys, tmp_path):
     code, _, err = run(capsys, "chi", "--variety", str(bad), "--divisor", "1H")
     assert code == 2
     assert "line 1" in err
+
+
+def _classify_file(capsys, tmp_path, data, polarization):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return run(capsys, "--format", "json", "classify", "--variety", str(path), "--L", polarization)
+
+
+def test_kappa_adjoint_keys_are_read_as_divisor_classes(capsys, tmp_path, catalog):
+    want = run(capsys, "--format", "json", "classify", "--variety", "catalog:P2xP2", "--L", "1a+1b")
+    data = variety_to_json(catalog["P2xP2"])
+    data["kappa_adjoint"] = {"1b+1a": data["kappa_adjoint"]["1a+1b"]}
+    assert _classify_file(capsys, tmp_path, data, "1a+1b") == want
+
+    data["kappa_adjoint"]["a+b"] = data["kappa_adjoint"]["1b+1a"]
+    code, out, err = _classify_file(capsys, tmp_path, data, "1a+1b")
+    assert (code, out) == (2, "") and "1a+1b twice" in err
+
+    data["kappa_adjoint"] = {"1c": data["kappa_adjoint"]["a+b"]}
+    code, out, err = _classify_file(capsys, tmp_path, data, "1a+1b")
+    assert (code, out) == (2, "") and "unknown generator 'c'" in err
+
+
+def test_fine_type_must_be_a_string_or_null(capsys, tmp_path, x6):
+    data = variety_to_json(x6)
+    data["kappa_adjoint"]["1H"]["fine_type"] = 5
+    code, out, err = _classify_file(capsys, tmp_path, data, "1H")
+    assert (code, out) == (2, "") and "fine_type must be a JSON string or null, got 5" in err

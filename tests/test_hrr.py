@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import factorial, prod
@@ -11,8 +12,7 @@ from secgenus.errors import AbstainError, InputError, ModelError
 from secgenus.hrr import (
     _TODD,
     CompiledChi,
-    _frozen,
-    _zero_form,
+    _nest,
     chi_divisor,
     chi_multi,
     compile_chi,
@@ -22,6 +22,8 @@ from secgenus.hrr import (
 from secgenus.suites import suite_integrality
 from secgenus.variety import (
     DivisorClass,
+    VarietyData,
+    _monomials,
     c2_pair,
     catalog_build,
     h0_exact,
@@ -250,6 +252,24 @@ def test_non_integer_valued_chi_fails_integrality(x6):
     assert checks["chi expansion integral"].passed is False
 
 
+def test_non_integer_coefficients_print_in_multi_index_order(x6):
+    planted = dataclasses.replace(x6, c2_pairings={(2,): 91})
+    bundles = [planted.divisor(text) for text in ("1H", "2H", "-1H")]
+    with pytest.raises(ModelError) as raised:
+        chi_multi(planted, bundles)
+    entry = r"\(([0-9, ]+)\): Fraction\((-?[0-9]+), ([0-9]+)\)"
+    shown = {
+        tuple(int(p) for p in index.split(", ")): Fraction(int(num), int(den))
+        for index, num, den in re.findall(entry, str(raised.value))
+    }
+    assert list(shown) == sorted(shown)
+
+    def reference(*point):
+        return reference_chi(planted, sum((t * b for t, b in zip(point, bundles)), planted.zero()))
+
+    assert shown == coefficients_from_oracle(reference, 3, 4).coeffs
+
+
 def test_compiled_chi_is_a_nested_horner_form(p4, catalog):
     # 24 chi(tH) = t^4 + 10t^3 + 35t^2 + 50t + 24 on P4
     assert p4.chi_polynomial.denom == 24
@@ -335,23 +355,16 @@ def reference_compile_chi(v) -> CompiledChi:
     denom, todd = _TODD[v.dim]
     c1 = -v.canonical
     units = [v.generator(name) for name in v.generators]
-    form = _zero_form(g, v.dim)
-
-    def add(exps, value):
-        entry = form
-        for e in exps[:-1]:
-            entry = entry[e]
-        entry[exps[-1]] += value
-
-    add([0] * g, denom * v.chi_o)
+    terms = {(0,) * g: denom * v.chi_o}
     for weight, with_c2, j in todd:
         pair = c2_pair if with_c2 else intersection_number
         degree = v.dim - 2 * with_c2 - j
         for combo in combinations_with_replacement(range(g), degree):
-            exps = [combo.count(i) for i in range(g)]
+            exps = tuple(combo.count(i) for i in range(g))
             multinomial = factorial(degree) // prod(map(factorial, exps))
-            add(exps, weight * multinomial * pair(v, [c1] * j + [units[i] for i in combo]))
-    return CompiledChi(denom, _frozen(form, g))
+            value = weight * multinomial * pair(v, [c1] * j + [units[i] for i in combo])
+            terms[exps] = terms.get(exps, 0) + value
+    return CompiledChi(denom, _nest(terms, g))
 
 
 def _without(v, dropped):
@@ -382,3 +395,24 @@ def test_compile_chi_matches_pairing_reference(catalog):
             else:
                 assert broken.chi_polynomial == want, (v.name, dropped)
     assert raised > 300
+
+
+def test_compile_chi_matches_pairing_reference_on_random_tables():
+    # no catalog entry has a c_1 that vanishes on some generators but not all
+    rng = random.Random(10)
+    partial = 0
+    for _ in range(300):
+        dim, g = rng.randint(1, 4), rng.randint(1, 3)
+        c1 = tuple(rng.choice((0, rng.randint(-4, 4))) for _ in range(g))
+        partial += 0 < sum(map(bool, c1)) < g
+        v = VarietyData(
+            name="random",
+            dim=dim,
+            generators=("a", "b", "c")[:g],
+            intersection_form={e: rng.randint(-9, 9) for e in _monomials(g, dim)},
+            canonical=-DivisorClass(c1),
+            c2_pairings={e: rng.randint(-9, 9) for e in _monomials(g, dim - 2)} if dim > 1 else {},
+            hodge=(1, *(rng.randint(0, 5) for _ in range(dim))),
+        )
+        assert compile_chi(v) == reference_compile_chi(v), (dim, c1)
+    assert partial > 50

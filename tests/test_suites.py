@@ -118,7 +118,7 @@ PLANTED_SHA256 = {
     ("X6", "jumps"): "808e0b5012aa8c5782e1c0b9b00af16f8e7ee20c3b9f242d38262cb672e69eac",
     ("X6", "additivity"): "d063849c7867b8caa962acc1d7d2bfd281bfc9490429597fcfc9245eea489f3e",
     ("X6", "bounds"): "adb458e849d83b0668aadfe4ad8e1737705f658cc495e9d5e3fdb69839ba452e",
-    ("X6", "integrality"): "1016586f1dd24f1b16c1f68c014e9a43908d72cf5fe11afe5078facf044b2b66",
+    ("X6", "integrality"): "48c9cf47c7152ae61d872070fd4f0f8aebe2f26db61814699730c3b3e2424705",
     ("X6", "closed"): "08cd19e4b2f538c528e6278cd5bf72e0565825e337c9b16a0d7680aa8b81f833",
     ("X6", "c2bound"): "8979e62cb013a1088caa837f0c02a723909f28f80cd92fca34e92f27f3ca4cd5",
     ("X6", "g0"): "93d364d4369ebd7202e536291629eb8597276efe1063cd14b371518a33f0b1ef",
