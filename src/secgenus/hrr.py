@@ -18,7 +18,8 @@ once, as F_0(e) = table[e], gets the form of each further factor of c_1
 by contracting the previous one, F_j(e) = sum_i c_1[i] * F_(j-1)(e + u_i),
 and adds weight * multinomial(e) * F_j(e) to the coefficient of x^e,
 building no divisor classes; each model compiles once, on first use
-(``VarietyData.chi_polynomial``).
+(``VarietyData.chi_polynomial``).  ``_nest`` and ``_horner`` live in
+``variety``, which keeps each model's D^n form the same way.
 ``chi_divisor`` evaluates it by Horner's rule in integers and divides
 once: a remainder is a model inconsistency, not a rounding situation.
 ``chi_multi`` substitutes D = t_1 D_1 + ... + t_k D_k by Horner's rule
@@ -51,8 +52,10 @@ from .variety import (
     DivisorClass,
     VarietyData,
     _check_length,
+    _horner,
     _missing_monomial,
     _monomials,
+    _nest,
     h0_exact,
 )
 
@@ -76,27 +79,10 @@ _POWER_ROWS = ({0: 1}, {1: 1}, {1: -1, 2: 2}, {1: 1, 2: -6, 3: 6}, {1: -1, 2: 14
 
 @dataclass(frozen=True)
 class CompiledChi:
-    """denom * chi(x_1 G_1 + ... + x_g G_g) as a nested Horner form.
-
-    ``horner[a]`` is the coefficient of x_1^a: a nested form of the same
-    kind in x_2, ..., x_g, and an integer once no variable is left.
-    Trailing zero entries are left out, so () is the zero form.
-    """
+    """denom * chi(x_1 G_1 + ... + x_g G_g) as a nested Horner form (``variety._nest``)."""
 
     denom: int
     horner: tuple
-
-
-def _nest(terms: dict, depth: int) -> tuple:
-    """The sparse form {exponents: coefficient} as a nested Horner form."""
-    groups: dict = {}
-    for exps, c in terms.items():
-        if c:
-            groups.setdefault(exps[0], {})[exps[1:]] = c
-    top = max(groups, default=-1) + 1
-    if depth == 1:
-        return tuple(groups[a][()] if a in groups else 0 for a in range(top))
-    return tuple(_nest(groups.get(a, {}), depth - 1) for a in range(top))
 
 
 def compile_chi(v: VarietyData) -> CompiledChi:
@@ -132,19 +118,6 @@ def compile_chi(v: VarietyData) -> CompiledChi:
             multinomial = factorial(degree) // prod(map(factorial, e))
             terms[e] = terms.get(e, 0) + weight * multinomial * value
     return CompiledChi(denom, _nest(terms, g))
-
-
-def _horner(form: tuple, x: tuple, i: int = 0) -> int:
-    """Value of a nested Horner form in x[i], x[i + 1], ... at the integer point x."""
-    head = x[i]
-    value = 0
-    if i + 1 == len(x):
-        for c in reversed(form):
-            value = value * head + c
-    else:
-        for entry in reversed(form):
-            value = value * head + _horner(entry, x, i + 1)
-    return value
 
 
 def chi_divisor(v: VarietyData, d: DivisorClass) -> int:

@@ -19,7 +19,8 @@ count.  Past it, arithmetic trusts its inputs and coerces nothing.
 
 Intersection monomials are keyed by exponent tuples over the generator
 list, so symmetry of the form is structural.  A missing monomial is a
-hard model error, never a silent zero.
+hard model error, never a silent zero; chi and the D^n of
+``is_nef_and_big`` read whole tables, so for them it is one on every class.
 
 Kodaira dimensions take values in {-inf, 0, ..., n}; ``-inf`` is
 ``float("-inf")`` and "undeclared" is ``None``.
@@ -31,9 +32,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations_with_replacement, product
-from math import comb
+from math import comb, factorial, prod
 from operator import add, neg, sub
 from pathlib import Path
 
@@ -127,6 +128,16 @@ class VarietyData:
 
         return compile_chi(self)
 
+    @cached_property
+    def top_form(self) -> tuple:
+        """D -> D^n as a nested Horner form (see ``_horner``), compiled on first use."""
+        n, table, terms = self.dim, self.intersection_form, {}
+        for key in _monomials(len(self.generators), n):
+            if key not in table:
+                raise _missing_monomial(self, "intersection", key)
+            terms[key] = factorial(n) // prod(map(factorial, key)) * table[key]
+        return _nest(terms, len(self.generators))
+
     def zero(self) -> DivisorClass:
         return DivisorClass((0,) * len(self.generators))
 
@@ -157,7 +168,9 @@ class VarietyData:
 
     def is_nef_and_big(self, d: DivisorClass) -> bool:
         """Nef with positive top self-intersection."""
-        return self.is_nef(d) and intersection_number(self, [d] * self.dim) > 0
+        if len(d.coeffs) != len(self.generators):
+            _check_length(self, d)  # raises; tested inline on this hot path
+        return self.is_nef(d) and _horner(self.top_form, d.coeffs) > 0
 
 
 # -- divisor string syntax -----------------------------------------------
@@ -203,15 +216,42 @@ def format_divisor(d: DivisorClass, generators: tuple[str, ...]) -> str:
 # -- intersection products -------------------------------------------------
 
 
-def _monomials(n_gens: int, degree: int) -> list[tuple[int, ...]]:
+@cache
+def _monomials(n_gens: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent tuples of the given total degree."""
-    out = []
-    for combo in combinations_with_replacement(range(n_gens), degree):
-        exps = [0] * n_gens
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
-    return out
+    return tuple(
+        tuple(combo.count(i) for i in range(n_gens))
+        for combo in combinations_with_replacement(range(n_gens), degree)
+    )
+
+
+def _nest(terms: dict, depth: int) -> tuple:
+    """The sparse form {exponents: coefficient} as a nested Horner form.
+
+    Entry a is the coefficient of x_1^a, nested the same way in x_2, ...;
+    trailing zeros are left out, so () is the zero form.
+    """
+    groups: dict = {}
+    for exps, c in terms.items():
+        if c:
+            groups.setdefault(exps[0], {})[exps[1:]] = c
+    top = max(groups, default=-1) + 1
+    if depth == 1:
+        return tuple(groups[a][()] if a in groups else 0 for a in range(top))
+    return tuple(_nest(groups.get(a, {}), depth - 1) for a in range(top))
+
+
+def _horner(form: tuple, x: tuple, i: int = 0) -> int:
+    """Value of a nested Horner form in x[i], x[i + 1], ... at the integer point x."""
+    head = x[i]
+    value = 0
+    if i + 1 == len(x):
+        for c in reversed(form):
+            value = value * head + c
+    else:
+        for entry in reversed(form):
+            value = value * head + _horner(entry, x, i + 1)
+    return value
 
 
 def _check_length(v: VarietyData, *classes: DivisorClass) -> None:
@@ -569,7 +609,7 @@ def validate(v: VarietyData) -> VerificationReport:
         try:
             compiled = v.chi_polynomial
             if any(
-                hrr._horner(compiled.horner, tuple([t * c for c in ell])) % compiled.denom
+                _horner(compiled.horner, tuple([t * c for c in ell])) % compiled.denom
                 for t in range(v.dim + 1)
             ):
                 hrr.chi_multi(v, [v.polarization])  # raises with the failing coefficients
@@ -646,6 +686,13 @@ def _kappa_from_json(value, dim: int):
     if not 0 <= kappa <= dim:
         raise InputError(f"kappa must be -inf or in 0..{dim}, got {kappa}")
     return kappa
+
+
+def _twist(key: str) -> int:
+    """A twist key, spelled exactly as ``str`` spells its integer ("01", " 2", "1_0" are not)."""
+    if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+        raise InputError(f"kappa_adjoint twist key {key!r} is not an integer")
+    return int(key)
 
 
 def _table_from_json(raw: dict, generators: tuple[str, ...], degree: int, what: str) -> dict:
@@ -746,7 +793,7 @@ def variety_from_json(data: dict) -> VarietyData:
                 raise InputError(f"fine_type must be a JSON string or null, got {fine_type!r}")
             decls[canonical] = AdjointDeclaration(
                 kappa={
-                    int(a): _kappa_from_json(k, dim) for a, k in (raw.get("kappa") or {}).items()
+                    _twist(a): _kappa_from_json(k, dim) for a, k in (raw.get("kappa") or {}).items()
                 },
                 fine_type=fine_type,
             )

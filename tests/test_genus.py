@@ -106,6 +106,7 @@ def test_genus_keeps_no_reference_to_the_model():
     h = v.divisor("1H")
     assert chi_H_i(v, 2, [h, h]) == 11
     assert g_i(v, 1, [h, h, h]) == 10
+    assert v.is_nef_and_big(h)
     model = weakref.ref(v)
     del v
     gc.collect()

@@ -12,7 +12,6 @@ from secgenus.errors import AbstainError, InputError, ModelError
 from secgenus.hrr import (
     _TODD,
     CompiledChi,
-    _nest,
     chi_divisor,
     chi_multi,
     compile_chi,
@@ -23,7 +22,9 @@ from secgenus.suites import suite_integrality
 from secgenus.variety import (
     DivisorClass,
     VarietyData,
+    _horner,
     _monomials,
+    _nest,
     c2_pair,
     catalog_build,
     h0_exact,
@@ -374,6 +375,28 @@ def _without(v, dropped):
         gone = {key for f, key in dropped if f == field}
         tables[field] = {k: x for k, x in getattr(v, field).items() if k not in gone}
     return dataclasses.replace(v, **tables)
+
+
+def test_top_form_matches_intersection_number(catalog):
+    # D^n by Horner's rule on the compiled form equals the generic expansion,
+    # over classes with negative and zero coordinates
+    for v in [*catalog.values(), _p1xp1xp2()]:
+        for coeffs in product(range(-2, 3), repeat=len(v.generators)):
+            d = DivisorClass(coeffs)
+            assert _horner(v.top_form, coeffs) == intersection_number(v, [d] * v.dim), (v.name, d)
+
+
+def test_nef_and_big_raises_on_any_missing_intersection_monomial(catalog):
+    # the D^n form reads the whole table, so every nef class hits the gap,
+    # not only the classes whose support touches it
+    for v in [*catalog.values(), _p1xp1xp2()]:
+        for key in v.intersection_form:
+            broken = _without(v, [("intersection_form", key)])
+            assert not broken.is_nef_and_big(-broken.polarization)  # not nef: no form needed
+            for d in (broken.polarization, broken.zero()):
+                with pytest.raises(ModelError) as raised:
+                    broken.is_nef_and_big(d)
+                assert str(raised.value) == f"{v.name} intersection table is missing monomial {key}"
 
 
 def test_compile_chi_matches_pairing_reference(catalog):

@@ -75,6 +75,8 @@ def test_pairings_reject_short_class_on_two_generators(catalog):
         intersection_number(p2xp2, [short] * 4)
     with pytest.raises(InputError, match=r"\(1,\) has 1 coordinates, P2xP2 has 2 generators"):
         c2_pair(p2xp2, [short] * 2)
+    with pytest.raises(InputError, match=r"\(1,\) has 1 coordinates, P2xP2 has 2 generators"):
+        p2xp2.is_nef_and_big(short)
 
 
 def test_pairings_reject_long_class_on_one_generator(x6):
@@ -84,6 +86,8 @@ def test_pairings_reject_long_class_on_one_generator(x6):
         intersection_number(x6, [x6.divisor("1H")] * 3 + [long])
     with pytest.raises(InputError, match=r"\(1, 1\) has 2 coordinates, X6 has 1 generators"):
         c2_pair(x6, [long, long])
+    with pytest.raises(InputError, match=r"\(1, 1\) has 2 coordinates, X6 has 1 generators"):
+        x6.is_nef_and_big(long)
 
 
 def test_c2_pairings(catalog, p4, x6, a4):
@@ -429,6 +433,10 @@ def test_json_rejects_bad_polarization(name, polarization, message):
         ("P1xP3", ("generators",), ["a", "a"], "repeat"),
         ("X6", ("generators",), ["2H"], "identifier"),
         ("X6", ("generators",), [], "generators"),
+        # twist keys were read with int(): "01" overwrote "1", "1_0" became 10
+        ("X6", ("kappa_adjoint", "1H", "kappa", "01"), 0, "twist key '01'"),
+        ("X6", ("kappa_adjoint", "1H", "kappa", "1_0"), 3, "twist key '1_0'"),
+        ("X6", ("kappa_adjoint", "1H", "kappa", " 2"), 4, "twist key ' 2'"),
     ],
 )
 def test_json_rejects_malformed_schema(name, path, value, message):
