@@ -111,7 +111,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_semigroup(args) -> int:
-    generators = [int(tok) for tok in args.set.split(",") if tok.strip()]
+    try:
+        generators = [int(tok) for tok in args.set.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise InputError(f"--set needs comma-separated integers, got {args.set!r}") from exc
     report = VerificationReport(title="semigroup")
     inputs = {"set": args.set}
     closed = semigroup.closure(generators, args.bound)
@@ -126,6 +129,8 @@ def cmd_semigroup(args) -> int:
             inputs=inputs,
         )
     if args.coin is not None:
+        if len(generators) < 2:
+            raise InputError(f"--coin needs two generators p,q in --set, got {args.set!r}")
         p, q = generators[0], generators[1]
         i, j = semigroup.coin_solve(p, q, args.coin)
         report.add(

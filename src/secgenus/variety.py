@@ -315,164 +315,102 @@ def c2_pair(v: VarietyData, classes: list[DivisorClass]) -> int:
 # -- catalog ----------------------------------------------------------------
 
 
-def _ray_kappa(c: int, dim: int) -> "int | float":
-    """kappa of c * A for A ample on a single-ray cone."""
-    if c > 0:
-        return dim
-    if c == 0:
-        return 0
-    return NEG_INF
+def _entry(dims: tuple[int, ...], fine_type: str | None, **model) -> VarietyData:
+    """A catalog entry polarized by the sum of its generators, with its kappa declarations.
 
+    The generators come from factors of dimensions ``dims`` (a hypersurface or A4 is one
+    factor of dimension 4): kappa(sum c_i H_i) is -inf if some c_i < 0, else sum_{c_i > 0} n_i.
+    """
 
-def _ray_entry(
-    name: str,
-    dim: int,
-    gen: str,
-    top: int,
-    k_coeff: int,
-    c2_h: int | None,
-    hodge: tuple[int, ...],
-    oracle: str,
-    fine_type: str | None,
-) -> VarietyData:
-    """Single-generator variety with K parallel to the ample ray."""
-    c2 = {}
-    if dim >= 2:
-        c2 = {(dim - 2,): c2_h if c2_h is not None else 0}
-    pol = DivisorClass((1,))
-    decl = AdjointDeclaration(
-        kappa={a: _ray_kappa(k_coeff + a, dim) for a in (1, 2, 3)},
-        fine_type=fine_type,
-    )
+    def kappa(coeffs) -> "int | float":
+        return NEG_INF if min(coeffs) < 0 else sum(n for c, n in zip(coeffs, dims) if c)
+
+    k = model["canonical"].coeffs
+    pol = DivisorClass((1,) * len(k))
+    decl = AdjointDeclaration({t: kappa([c + t for c in k]) for t in (1, 2, 3)}, fine_type)
     return VarietyData(
-        name=name,
-        dim=dim,
-        generators=(gen,),
-        intersection_form={(dim,): top},
-        canonical=DivisorClass((k_coeff,)),
-        c2_pairings=c2,
-        hodge=hodge,
-        kappa_x=_ray_kappa(k_coeff, dim),
-        kappa_adjoint={f"1{gen}": decl},
-        h0_oracle=oracle,
+        dim=sum(dims),
+        kappa_x=kappa(k),
+        kappa_adjoint={format_divisor(pol, model["generators"]): decl},
         polarization=pol,
+        **model,
     )
 
 
-def _product_entry(name: str, a: int, b: int, oracle: str, fine_type: str | None) -> VarietyData:
-    """P^a x P^b with generators x (from P^a) and y (from P^b), a + b = 4."""
-    if a + b != 4:
-        raise InputError("only 4-dimensional products are modeled")
-    form = {}
-    for exps in _monomials(2, 4):
-        form[exps] = 1 if exps == (a, b) else 0
-    # c(X) = (1+x)^(a+1) (1+y)^(b+1); a monomial x^i y^j pairs to its
-    # coefficient on x^a y^b, i.e. survives only at (i, j) = (a, b).
-    c2_x2 = comb(a + 1, 2)
-    c2_xy = (a + 1) * (b + 1)
-    c2_y2 = comb(b + 1, 2)
+def _product(names: tuple[str, ...], dims: tuple[int, ...], fine_type: str | None) -> VarietyData:
+    """P^n_1 x ... x P^n_k, generator i the pull-back of the hyperplane class H_i.
 
-    def pair_c2(i: int, j: int) -> int:
-        total = 0
-        for (di, dj), coeff in (((2, 0), c2_x2), ((1, 1), c2_xy), ((0, 2), c2_y2)):
-            if (i + di, j + dj) == (a, b):
-                total += coeff
-        return total
-
-    c2 = {exps: pair_c2(*exps) for exps in _monomials(2, 2)}
-    pol = DivisorClass((1, 1))
-    kappa = {}
-    for t in (1, 2, 3):
-        k_plus = DivisorClass((t - (a + 1), t - (b + 1)))
-        if any(c < 0 for c in k_plus.coeffs):
-            kappa[t] = NEG_INF
-        else:
-            kappa[t] = (a if k_plus.coeffs[0] > 0 else 0) + (b if k_plus.coeffs[1] > 0 else 0)
-    decl = AdjointDeclaration(kappa=kappa, fine_type=fine_type)
-    return VarietyData(
+    H^e = [e = dims] and K = -sum (n_i + 1) H_i.  By c(X) = prod (1 + H_i)^(n_i + 1),
+    H^e pairs with c_2 to prod C(n_i + 1, n_i - e_i) = prod C(n_i + 1, e_i + 1).
+    """
+    n, g = sum(dims), len(dims)
+    pairs = _monomials(g, n - 2) if n >= 2 else ()
+    name = "x".join(f"P{k}" for k in dims)
+    return _entry(
+        dims,
+        fine_type,
         name=name,
-        dim=4,
-        generators=("a", "b"),
-        intersection_form=form,
-        canonical=DivisorClass((-(a + 1), -(b + 1))),
-        c2_pairings=c2,
-        hodge=(1, 0, 0, 0, 0),
-        kappa_x=NEG_INF,
-        kappa_adjoint={"1a+1b": decl},
-        h0_oracle=oracle,
-        polarization=pol,
+        generators=names,
+        intersection_form={e: int(e == dims) for e in _monomials(g, n)},
+        canonical=DivisorClass(tuple(-(k + 1) for k in dims)),
+        c2_pairings={e: prod(comb(k + 1, i + 1) for i, k in zip(e, dims)) for e in pairs},
+        hodge=(1,) + (0,) * n,
+        h0_oracle=name.lower(),
     )
 
 
 def catalog_build(family: str, param: int | None = None) -> VarietyData:
     """Build one fully populated catalog entry with its section-count oracle.
 
-    Families: ``projective_space`` (n <= 4), ``product_P1xP3``,
-    ``product_P2xP2``, ``hypersurface_in_P5`` (degree d >= 2) and
-    ``abelian_fourfold`` (top self-intersection a positive multiple of 24).
+    Families: ``projective_space`` (n <= 4), ``product_P1xP3`` and
+    ``product_P2xP2``, all built by one rule from their factor dimensions;
+    ``hypersurface_in_P5`` (degree d >= 2) and ``abelian_fourfold`` (top
+    self-intersection a positive multiple of 24), from closed forms.  Every
+    entry is polarized by the sum of its generators.
     """
     if family == "projective_space":
         n = param
         if n is None or not 1 <= n <= 4:
             raise InputError(f"projective_space needs n in 1..4, got {n}")
-        # Euler sequence: c(TP^n) = (1+H)^(n+1).
-        fine = "1" if n >= 3 else None
-        return _ray_entry(
-            name=f"P{n}",
-            dim=n,
-            gen="H",
-            top=1,
-            k_coeff=-(n + 1),
-            c2_h=comb(n + 1, 2) if n >= 2 else None,
-            hodge=(1,) + (0,) * n,
-            oracle=f"p{n}",
-            fine_type=fine,
-        )
+        return _product(("H",), (n,), "1" if n >= 3 else None)
     if family == "hypersurface_in_P5":
         d = param
         if d is None or d < 2:
             raise InputError(f"hypersurface_in_P5 needs degree d >= 2, got {d}")
-        # c(X) = (1+H)^6 / (1+dH) restricted: c_2 = (d^2 - 6d + 15) H^2.
         # Fine types are declared only below the big-adjoint range; for
         # d >= 5 the terminal second-reduction label is the classification.
-        if d == 2:
-            fine = "2"
-        elif d == 3:
-            fine = "4"  # K = -(n-1)H: Del Pezzo manifold
-        elif d == 4:
-            fine = "7.5"  # K = -(n-2)H: Mukai
-        else:
-            fine = None
-        return _ray_entry(
+        # d = 3: K = -(n-1)H, a Del Pezzo manifold; d = 4: K = -(n-2)H, Mukai.
+        return _entry(
+            (4,),
+            {2: "2", 3: "4", 4: "7.5"}.get(d),
             name="Q4" if d == 2 else f"X{d}",
-            dim=4,
-            gen="H",
-            top=d,
-            k_coeff=d - 6,
-            c2_h=(d * d - 6 * d + 15) * d,
+            generators=("H",),
+            intersection_form={(4,): d},
+            canonical=DivisorClass((d - 6,)),
+            # c(X) = (1+H)^6 / (1+dH) restricted: c_2 = (d^2 - 6d + 15) H^2
+            c2_pairings={(2,): (d * d - 6 * d + 15) * d},
             hodge=(1, 0, 0, 0, comb(d - 1, 5)),
-            oracle=f"hypersurface:{d}",
-            fine_type=fine,
+            h0_oracle=f"hypersurface:{d}",
         )
     if family == "abelian_fourfold":
         l4 = param
         if l4 is None or l4 <= 0 or l4 % 24 != 0:
             raise InputError(f"abelian_fourfold needs L^4 a positive multiple of 24, got {l4}")
-        return _ray_entry(
+        return _entry(
+            (4,),
+            None,
             name="A4",
-            dim=4,
-            gen="L",
-            top=l4,
-            k_coeff=0,
-            c2_h=0,
+            generators=("L",),
+            intersection_form={(4,): l4},
+            canonical=DivisorClass((0,)),
+            c2_pairings={(2,): 0},
             hodge=(1, 4, 6, 4, 1),
-            oracle="abelian",
-            fine_type=None,
+            h0_oracle="abelian",
         )
     if family == "product_P1xP3":
-        return _product_entry("P1xP3", 1, 3, "p1xp3", fine_type="3")
+        return _product(("a", "b"), (1, 3), "3")
     if family == "product_P2xP2":
-        return _product_entry("P2xP2", 2, 2, "p2xp2", fine_type="4")
+        return _product(("a", "b"), (2, 2), "4")
     raise InputError(f"unknown catalog family {family!r}")
 
 
@@ -497,44 +435,49 @@ FOURFOLD_NAMES = ("P4", "P1xP3", "P2xP2", "Q4", "X3", "X4", "X5", "X6", "X7", "A
 # -- exact section counts ----------------------------------------------------
 
 
+def _sections(dims: tuple[int, ...], coeffs: tuple[int, ...]) -> int:
+    """h^0(O(c_1, ..., c_k)) on P^n_1 x ... x P^n_k, by Kuenneth."""
+    count = 1
+    for c, n in zip(coeffs, dims):
+        if c < 0:
+            return 0
+        count *= comb(c + n, n)
+    return count
+
+
+def _abelian(v: VarietyData, coeffs: tuple[int, ...]) -> int:
+    """h^0(mL) on an abelian fourfold: 1 at m = 0, (mL)^4 / 24 for m > 0."""
+    m = coeffs[0]
+    return 1 if m == 0 else max(m, 0) ** 4 * v.intersection_form[(4,)] // 24
+
+
+@cache
+def _oracle(tag: str):
+    """The (dim, generator count) shape of an oracle tag and its rule (model, coeffs) -> h^0.
+
+    Tags: ``p<n>(xp<n>)*`` (n >= 1, no leading zeros), ``hypersurface:<d>``
+    (d >= 2, spelled canonically) and ``abelian``.
+    """
+    if re.fullmatch(r"p[1-9][0-9]*(xp[1-9][0-9]*)*", tag):
+        dims = tuple(int(factor[1:]) for factor in tag.split("x"))
+        return (sum(dims), len(dims)), lambda v, coeffs: _sections(dims, coeffs)
+    hyper = re.fullmatch(r"hypersurface:([1-9][0-9]*)", tag)
+    if hyper and int(hyper[1]) >= 2:
+        d = int(hyper[1])
+        # restriction from P^5: 0 -> O(m-d) -> O(m) -> O_X(m) -> 0
+        return (4, 1), lambda v, c: _sections((5,), c) - _sections((5,), (c[0] - d,))
+    if tag == "abelian":
+        return (4, 1), _abelian
+    raise InputError(f"unknown oracle tag {tag!r}")
+
+
 def h0_exact(v: VarietyData, d: DivisorClass) -> int:
     """Exact h^0 from the per-family oracle (independent of Riemann-Roch)."""
-    tag = v.h0_oracle
-    if tag is None:
+    if v.h0_oracle is None:
         raise AbstainError(f"{v.name} has no exact section-count oracle")
-    if tag.startswith("p") and tag[1:].isdigit():
-        n = int(tag[1:])
-        m = d.coeffs[0]
-        return comb(m + n, n) if m >= 0 else 0
-    if tag == "p1xp3":
-        c, e = d.coeffs
-        if c < 0 or e < 0:
-            return 0
-        return (c + 1) * comb(e + 3, 3)
-    if tag == "p2xp2":
-        c, e = d.coeffs
-        if c < 0 or e < 0:
-            return 0
-        return comb(c + 2, 2) * comb(e + 2, 2)
-    if tag.startswith("hypersurface:"):
-        deg = int(tag.split(":", 1)[1])
-        m = d.coeffs[0]
-        if m < 0:
-            return 0
-        # restriction from P^5: 0 -> O(m-d) -> O(m) -> O_X(m) -> 0
-        count = comb(m + 5, 5)
-        if m >= deg:
-            count -= comb(m - deg + 5, 5)
-        return count
-    if tag == "abelian":
-        m = d.coeffs[0]
-        l4 = v.intersection_form[(4,)]
-        if m < 0:
-            return 0
-        if m == 0:
-            return 1
-        return m**4 * l4 // 24
-    raise InputError(f"unknown oracle tag {tag!r} on {v.name}")
+    if len(d.coeffs) != len(v.generators):
+        _check_length(v, d)  # raises; tested inline on this hot path
+    return _oracle(v.h0_oracle)[1](v, d.coeffs)
 
 
 # -- model validation --------------------------------------------------------
@@ -719,23 +662,13 @@ def _generators_from_json(raw) -> tuple[str, ...]:
     return tuple(raw)
 
 
-_ORACLE_SHAPES = {"p1xp3": (4, 2), "p2xp2": (4, 2), "abelian": (4, 1)}
-
-
 def _check_oracle(tag, dim: int, n_gens: int) -> None:
     """The oracle tag must name a family with this dimension and generator count."""
     if tag is None:
         return
     if not isinstance(tag, str):
         raise InputError(f"oracle tag must be a string, got {tag!r}")
-    if re.fullmatch(r"p[1-9][0-9]*", tag):
-        shape = (int(tag[1:]), 1)
-    elif re.fullmatch(r"hypersurface:[0-9]+", tag) and int(tag.split(":")[1]) >= 2:
-        shape = (4, 1)
-    elif tag in _ORACLE_SHAPES:
-        shape = _ORACLE_SHAPES[tag]
-    else:
-        raise InputError(f"unknown oracle tag {tag!r}")
+    shape = _oracle(tag)[0]
     if shape != (dim, n_gens):
         raise InputError(
             f"oracle {tag!r} needs dim {shape[0]} with {shape[1]} generator(s), "

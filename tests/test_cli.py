@@ -326,3 +326,16 @@ def test_fine_type_must_be_a_string_or_null(capsys, tmp_path, x6):
     data["kappa_adjoint"]["1H"]["fine_type"] = 5
     code, out, err = _classify_file(capsys, tmp_path, data, "1H")
     assert (code, out) == (2, "") and "fine_type must be a JSON string or null, got 5" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("semigroup", "--set", "4,x"), "comma-separated integers"),
+        (("semigroup", "--set", "4", "--coin", "7"), "two generators"),
+    ],
+)
+def test_semigroup_usage_errors_exit_2(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("input error:") and message in err

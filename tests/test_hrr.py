@@ -25,6 +25,7 @@ from secgenus.variety import (
     _horner,
     _monomials,
     _nest,
+    _product,
     c2_pair,
     catalog_build,
     h0_exact,
@@ -285,12 +286,15 @@ def _monomial_key(exps, names):
     return " ".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
 
 
-def _p1xp1xp2(drop=None):
-    """P1 x P1 x P2 with hyperplane classes a, b, c: a^2 = b^2 = c^3 = 0, a b c^2 = 1."""
+def _p1xp1xp2(drop=None, oracle=None, c2_shift=0):
+    """P1 x P1 x P2 with hyperplane classes a, b, c: a^2 = b^2 = c^3 = 0, a b c^2 = 1.
+
+    ``c2_shift`` is added to the pairing of c_2 with a b.
+    """
     names = ("a", "b", "c")
     quartics = [e for e in product(range(5), repeat=3) if sum(e) == 4]
     # c_2 = 4ab + 6ac + 6bc + 3c^2, from c(X) = (1 + 2a)(1 + 2b)(1 + 3c + 3c^2)
-    c2 = {"a^2": 0, "a b": 3, "a c": 6, "b^2": 0, "b c": 6, "c^2": 4}
+    c2 = {"a^2": 0, "a b": 3 + c2_shift, "a c": 6, "b^2": 0, "b c": 6, "c^2": 4}
     return variety_from_json(
         {
             "name": "P1xP1xP2",
@@ -303,10 +307,34 @@ def _p1xp1xp2(drop=None):
             "c2_pairings": c2,
             "hodge": [1, 0, 0, 0, 0],
             "nef_cone": "orthant",
-            "oracle": None,
+            "oracle": oracle,
             "polarization": [1, 1, 1],
         }
     )
+
+
+def test_product_builder_matches_hand_written_p1xp1xp2():
+    # the hand-written tables check the builder's c_2 rule on three factors
+    built, hand = _product(("a", "b", "c"), (1, 1, 2), None), _p1xp1xp2()
+    assert built.name == hand.name and built.h0_oracle == "p1xp1xp2"
+    for field in ("dim", "intersection_form", "canonical", "c2_pairings", "hodge", "polarization"):
+        assert getattr(built, field) == getattr(hand, field), field
+
+
+def test_product_oracle_can_fail_a_model():
+    def oracle_rows(report):
+        return [c.passed for c in report.checks if c.name.endswith("matches section count")]
+
+    report = validate(_p1xp1xp2(oracle="p1xp1xp2"))
+    assert report.passed and oracle_rows(report) == [True] * 3
+    # shifting c_2 . ab by 24 keeps chi integral, so only the oracle sees it
+    shifted = validate(_p1xp1xp2(c2_shift=24))
+    assert shifted.passed and oracle_rows(shifted) == []
+    shifted = validate(_p1xp1xp2(oracle="p1xp1xp2", c2_shift=24))
+    assert oracle_rows(shifted) == [False] * 3
+    assert [c.name for c in shifted.checks if not c.passed] == [
+        f"chi({m}*(1a+1b+1c)) matches section count" for m in (1, 2, 3)
+    ]
 
 
 def test_three_generator_chi_matches_reference():

@@ -1,4 +1,5 @@
-"""Every command line shown in the README runs as written and exits 0."""
+"""Every command line shown in the README runs as written and exits 0, and its oracle table
+agrees with the tag parser."""
 
 import os
 import shlex
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from secgenus.cli import main
+from secgenus.variety import _oracle
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -27,6 +29,15 @@ def test_readme_lists_every_demo():
     assert CLI_LINES
     listed = sorted(Path(shlex.split(line)[1]).name for line in DEMO_LINES)
     assert listed == sorted(p.name for p in (REPO / "demos").glob("*.py"))
+
+
+def test_readme_oracle_table_matches_the_tag_parser():
+    # the rows below the header | `oracle` | dimension | generators |
+    rows = [line.split("|")[1:4] for line in _section_lines("Command line", "| `")[1:]]
+    tags = [tag.strip(" `") for tag, _, _ in rows]
+    assert tags == ["p4", "p1xp3", "p2xp2", "p1xp1xp2", "hypersurface:6", "abelian"]
+    for tag, (_, dim, gens) in zip(tags, rows):
+        assert _oracle(tag)[0] == (int(dim), int(gens)), tag
 
 
 @pytest.mark.parametrize("line", CLI_LINES)

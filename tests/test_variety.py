@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -18,6 +19,7 @@ from secgenus.variety import (
     intersection_number,
     load_variety,
     save_variety,
+    standard_catalog,
     validate,
     variety_from_json,
     variety_to_json,
@@ -142,8 +144,24 @@ def test_h0_exact(p4, x6, a4, p1xp3, catalog):
     assert h0_exact(x6, x6.divisor("6H")) == 461
     assert h0_exact(a4, a4.divisor("2L")) == 16
     assert h0_exact(a4, a4.zero()) == 1
+    assert h0_exact(a4, a4.divisor("-1L")) == 0
     assert h0_exact(p1xp3, p1xp3.divisor("1a+1b")) == 8
     assert h0_exact(catalog["P2xP2"], catalog["P2xP2"].divisor("1a+2b")) == 18
+
+
+def test_h0_exact_rejects_a_class_of_the_wrong_length(p4, p1xp3):
+    for v, coeffs in ((p4, (1, 2)), (p1xp3, (1,))):
+        with pytest.raises(InputError, match="coordinates"):
+            h0_exact(v, DivisorClass(coeffs))
+
+
+CATALOG_SHA256 = "6d7e93d4649470149140f35e6df572394a088d43eba4bb839f275dec8e7860ed"
+
+
+def test_catalog_json_is_pinned():
+    # covers the kappa declarations and fine types of P1-P3, which no report reaches
+    blob = json.dumps([variety_to_json(v) for v in standard_catalog().values()], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == CATALOG_SHA256
 
 
 def test_h0_exact_without_oracle(x6):
@@ -321,6 +339,10 @@ def _set(blob: dict, path: tuple, value) -> None:
         ("X6", "hypersurface:1"),
         ("X6", "sextic"),  # unknown tag
         ("X6", 6),
+        ("X6", "hypersurface:06"),  # tags are read only in their canonical spelling
+        ("P1", "p01"),
+        ("P1", "p0"),
+        ("P1xP3", "p1xp0"),
     ],
 )
 def test_json_rejects_oracle_mismatch(name, tag):
