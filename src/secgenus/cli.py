@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -111,10 +112,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_semigroup(args) -> int:
-    try:
-        generators = [int(tok) for tok in args.set.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(f"--set needs comma-separated integers, got {args.set!r}") from exc
+    if not re.fullmatch(r"(0|-?[1-9][0-9]*)(,(0|-?[1-9][0-9]*))*", args.set):
+        raise InputError(f"--set needs comma-separated integers, got {args.set!r}")
+    generators = [int(tok) for tok in args.set.split(",")]
     report = VerificationReport(title="semigroup")
     inputs = {"set": args.set}
     closed = semigroup.closure(generators, args.bound)

@@ -19,8 +19,8 @@ count.  Past it, arithmetic trusts its inputs and coerces nothing.
 
 Intersection monomials are keyed by exponent tuples over the generator
 list, so symmetry of the form is structural.  A missing monomial is a
-hard model error, never a silent zero; chi and the D^n of
-``is_nef_and_big`` read whole tables, so for them it is one on every class.
+hard model error, never a silent zero; chi, ``top_form`` (D^n) and ``genus_form``
+(2g(D) - 2) read whole tables, so for them it is one on every class.
 
 Kodaira dimensions take values in {-inf, 0, ..., n}; ``-inf`` is
 ``float("-inf")`` and "undeclared" is ``None``.
@@ -129,14 +129,30 @@ class VarietyData:
         return compile_chi(self)
 
     @cached_property
-    def top_form(self) -> tuple:
-        """D -> D^n as a nested Horner form (see ``_horner``), compiled on first use."""
+    def _top_terms(self) -> dict:
+        """multinomial(n; e) * table[e] over the degree-n monomials e; raises on a missing one."""
         n, table, terms = self.dim, self.intersection_form, {}
         for key in _monomials(len(self.generators), n):
             if key not in table:
                 raise _missing_monomial(self, "intersection", key)
             terms[key] = factorial(n) // prod(map(factorial, key)) * table[key]
-        return _nest(terms, len(self.generators))
+        return terms
+
+    @cached_property
+    def top_form(self) -> tuple:
+        """D -> D^n as a nested Horner form (see ``_horner``), compiled on first use."""
+        return _nest(self._top_terms, len(self.generators))
+
+    @cached_property
+    def genus_form(self) -> tuple:
+        """D -> (K + (n-1)D) D^(n-1) = 2g(D) - 2 as a nested Horner form, compiled on first use."""
+        n, g, table = self.dim, len(self.generators), self.intersection_form
+        terms = {e: (n - 1) * c for e, c in self._top_terms.items()}  # raises on a gap in table
+        k = [(i, c) for i, c in enumerate(self.canonical.coeffs) if c]
+        for e in _monomials(g, n - 1):  # K D^(n-1): one contraction with K, as in compile_chi
+            contracted = sum([c * table[(*e[:i], e[i] + 1, *e[i + 1 :])] for i, c in k])
+            terms[e] = factorial(n - 1) // prod(map(factorial, e)) * contracted
+        return _nest(terms, g)
 
     def zero(self) -> DivisorClass:
         return DivisorClass((0,) * len(self.generators))
@@ -486,13 +502,14 @@ def h0_exact(v: VarietyData, d: DivisorClass) -> int:
 def validate(v: VarietyData) -> VerificationReport:
     """Consistency checks; a failing report invalidates downstream results.
 
-    "chi expansion integral" asks whether t -> chi(tL) is integer-valued
-    on Z, L the polarization.  It is a polynomial of degree <= n in t, and
-    such a polynomial is integer-valued as soon as it takes integer values
-    at n + 1 consecutive integers (its binomial-basis coefficients are its
-    forward differences there).  So the check evaluates the compiled form
-    at t = 0..n, and runs ``hrr.chi_multi`` only when a value is not an
-    integer, to word the failure with its coefficients.
+    "(K+3L)L^3 even" evaluates the compiled ``genus_form`` (2g(L) - 2) at
+    each sample L.  "chi expansion integral" asks whether t -> chi(tL) is
+    integer-valued on Z, L the polarization.  It is a polynomial of degree
+    <= n in t, and such a polynomial is integer-valued as soon as it takes
+    integer values at n + 1 consecutive integers (its binomial-basis
+    coefficients are its forward differences there).  So the check evaluates
+    the compiled form at t = 0..n, and runs ``hrr.chi_multi`` only when a
+    value is not an integer, to word the failure with its coefficients.
     """
     from . import hrr  # local import: hrr builds on this module
 
@@ -524,7 +541,7 @@ def validate(v: VarietyData) -> VerificationReport:
     samples = _ample_samples(v)
     if v.dim == 4:
         for ample in samples:
-            val = intersection_number(v, [v.canonical + 3 * ample, ample, ample, ample])
+            val = _horner(v.genus_form, ample.coeffs)  # (K + 3L) L^3
             report.add(
                 f"(K+3L)L^3 even at L={v.divisor_string(ample)}",
                 val % 2 == 0,

@@ -333,6 +333,9 @@ def test_fine_type_must_be_a_string_or_null(capsys, tmp_path, x6):
     [
         (("semigroup", "--set", "4,x"), "comma-separated integers"),
         (("semigroup", "--set", "4", "--coin", "7"), "two generators"),
+        (("semigroup", "--set", "4_0,7"), "comma-separated integers"),
+        (("semigroup", "--set", "4,,7"), "comma-separated integers"),
+        (("semigroup", "--set", "4,07"), "comma-separated integers"),
     ],
 )
 def test_semigroup_usage_errors_exit_2(capsys, argv, message):

@@ -9,6 +9,7 @@ import pytest
 
 from secgenus.binpoly import coefficients_from_oracle
 from secgenus.errors import AbstainError, InputError, ModelError
+from secgenus.genus import g1_closed
 from secgenus.hrr import (
     _TODD,
     CompiledChi,
@@ -412,6 +413,76 @@ def test_top_form_matches_intersection_number(catalog):
         for coeffs in product(range(-2, 3), repeat=len(v.generators)):
             d = DivisorClass(coeffs)
             assert _horner(v.top_form, coeffs) == intersection_number(v, [d] * v.dim), (v.name, d)
+
+
+def _genus_models(catalog):
+    """Catalog entries, P1xP1xP2, P1xP2 and seeded random integer models on their shapes."""
+    rng = random.Random(14)
+    models = [*catalog.values(), _p1xp1xp2(), _product(("a", "b"), (1, 2), None)]
+    for v in list(models):
+        g = len(v.generators)
+        for _ in range(3):
+            models.append(
+                dataclasses.replace(
+                    v,
+                    intersection_form={e: rng.randint(-5, 5) for e in _monomials(g, v.dim)},
+                    canonical=DivisorClass(tuple(rng.randint(-4, 4) for _ in range(g))),
+                )
+            )
+    return models
+
+
+def test_genus_form_matches_intersection_number(catalog):
+    # (K + (n-1)A) A^(n-1) = 2g(A) - 2 by Horner's rule on the compiled form equals
+    # the generic expansion, over classes with negative and zero coordinates
+    for v in _genus_models(catalog):
+        for coeffs in product(range(-2, 3), repeat=len(v.generators)):
+            a = DivisorClass(coeffs)
+            expected = intersection_number(v, [v.canonical + (v.dim - 1) * a] + [a] * (v.dim - 1))
+            assert _horner(v.genus_form, coeffs) == expected, (v.name, v.intersection_form, a)
+
+
+def test_g1_closed_at_equal_classes_matches_trilinear_expansion(catalog):
+    # g_1(A, A, A) reads genus_form; it must agree with 1 + (K+A+A+A)AAA / 2 and
+    # raise the same parity violation when that product is odd
+    outcomes = set()
+    for v in _genus_models(catalog):
+        if v.dim != 4:
+            continue
+        for coeffs in product(range(-2, 3), repeat=len(v.generators)):
+            a = DivisorClass(coeffs)
+            value = intersection_number(v, [v.canonical + a + a + a, a, a, a])
+            outcomes.add(value % 2)
+            if value % 2:
+                with pytest.raises(ModelError) as raised:
+                    g1_closed(v, a, a, a)
+                assert str(raised.value) == (
+                    f"parity violation on {v.name}: (K+A+B+C)ABC = {value} is odd"
+                )
+            else:
+                assert g1_closed(v, a, a, a) == 1 + value // 2, (v.name, a)
+    assert outcomes == {0, 1}
+    x6 = catalog["X6"]
+    wrong = DivisorClass((1, 1))
+    with pytest.raises(InputError, match="different generator lists"):
+        g1_closed(x6, wrong, wrong, wrong)
+
+
+def test_genus_form_raises_on_any_missing_intersection_monomial(catalog):
+    # like top_form, the genus form reads the whole table, so every class hits the gap
+    for v in [*catalog.values(), _p1xp1xp2()]:
+        for key in v.intersection_form:
+            broken = _without(v, [("intersection_form", key)])
+            message = f"{v.name} intersection table is missing monomial {key}"
+            for coeffs in product(range(-1, 2), repeat=len(v.generators)):
+                with pytest.raises(ModelError) as raised:
+                    _horner(broken.genus_form, coeffs)
+                assert str(raised.value) == message
+                if v.dim == 4:
+                    a = DivisorClass(coeffs)
+                    with pytest.raises(ModelError) as raised:
+                        g1_closed(broken, a, a, a)
+                    assert str(raised.value) == message
 
 
 def test_nef_and_big_raises_on_any_missing_intersection_monomial(catalog):

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from secgenus.errors import AbstainError, InputError, ModelError
+from secgenus.genus import g1_closed
 from secgenus.hrr import chi_multi
 from secgenus.suites import get_catalog
 from secgenus.variety import (
@@ -191,6 +192,20 @@ def test_validate_catches_corrupted_form(x6):
     corrupted = dataclasses.replace(x6, intersection_form={(4,): 5})
     report = validate(corrupted)
     assert not report.passed
+
+
+def test_parity_check_can_fail(x6):
+    # H^4 = 7 with K = 0 makes (K+3L)L^3 = 21 c^4 at L = cH: odd at c = 1, 3
+    odd = dataclasses.replace(x6, intersection_form={(4,): 7})
+    rows = {c.name: (c.passed, c.actual) for c in validate(odd).checks if "L^3 even" in c.name}
+    assert rows == {
+        "(K+3L)L^3 even at L=1H": (False, "21"),
+        "(K+3L)L^3 even at L=2H": (True, "336"),
+        "(K+3L)L^3 even at L=3H": (False, "1701"),
+    }
+    h = odd.divisor("1H")
+    with pytest.raises(ModelError, match=r"parity violation on X6: \(K\+A\+B\+C\)ABC = 21 is odd"):
+        g1_closed(odd, h, h, h)
 
 
 def test_validate_ray_check_agrees_with_chi_multi(catalog):
