@@ -205,9 +205,10 @@ def nonvanishing_report(v: VarietyData, ell: DivisorClass, m_max: int) -> Verifi
     """Case dispatch on declared kappa(K+L): assert h^0(m(K+L)) > 0.
 
     kappa in {0,1,2}: all m >= 1; kappa = 3: m >= 2; kappa = 4: m >= 3.
-    One ``nonvanishing[m=...]`` check per multiple, in a report titled
-    ``bounds:<name>``; with declared kappa(X) >= 0 the checks of
-    ``check_multiple_bound`` are appended.
+    One ``nonvanishing[m=...]`` check per multiple up to ``m_max`` (an
+    InputError when that leaves none), in a report titled ``bounds:<name>``;
+    with declared kappa(X) >= 0 the checks of ``check_multiple_bound`` are
+    appended.
     """
     kl = v.canonical + ell
     if not v.is_nef(kl):
@@ -228,6 +229,8 @@ def nonvanishing_report(v: VarietyData, ell: DivisorClass, m_max: int) -> Verifi
         m_start = 2
     else:
         m_start = 3
+    if m_max < m_start:
+        raise InputError(f"m_max = {m_max} is below the asserted start m >= {m_start} on {v.name}")
 
     report = VerificationReport(title=f"bounds:{v.name}")
     report.annotations.append(f"declared kappa(K+L) = {kappa_kl}; asserting m >= {m_start}")

@@ -6,20 +6,8 @@ T_3 = c_1 c_2 / 24, with c_1 = -K_X); the degree-n Todd constant is
 replaced by chi(O) taken from the declared Hodge numbers, so the model
 never needs c_3 or c_4 inputs.  Scaled by its denominator (1, 2, 12 or
 24 in dimension 1..4) the closed form is an integer polynomial in the
-generator coordinates x of D = x_1 G_1 + ... + x_g G_g, over the
-monomials of degree <= n (15 of them for two generators on a 4-fold).
-It is kept in nested Horner form, one level per generator:
-
-    denom * chi(D) = P(x_1, ..., x_g) = sum_a x_1^a P_a(x_2, ..., x_g),
-
-with P_a nested the same way in x_2, ..., x_g.  ``compile_chi`` writes
-that form straight from the model's pairing tables: it reads each table
-once, as F_0(e) = table[e], gets the form of each further factor of c_1
-by contracting the previous one, F_j(e) = sum_i c_1[i] * F_(j-1)(e + u_i),
-and adds weight * multinomial(e) * F_j(e) to the coefficient of x^e,
-building no divisor classes; each model compiles once, on first use
-(``VarietyData.chi_polynomial``).  ``_nest`` and ``_horner`` live in
-``variety``, which keeps each model's D^n form the same way.
+generator coordinates of D, compiled once per model into a nested Horner
+form (``VarietyData.chi_polynomial``; ``variety._compile`` says how).
 ``chi_divisor`` evaluates it by Horner's rule in integers and divides
 once: a remainder is a model inconsistency, not a rounding situation.
 ``chi_multi`` substitutes D = t_1 D_1 + ... + t_k D_k by Horner's rule
@@ -42,82 +30,15 @@ family oracle or be abstained from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
 
 from .binpoly import BinBasisPoly
 from .errors import AbstainError, InputError, ModelError
-from .variety import (
-    DivisorClass,
-    VarietyData,
-    _check_length,
-    _horner,
-    _missing_monomial,
-    _monomials,
-    _nest,
-    h0_exact,
-)
-
-# dim -> (denominator, terms of denom * (chi(D) - chi(O))); a term
-# (weight, pairs with c_2, number of c_1 factors) stands for
-# weight * (c_2 or 1) * c_1^j * D^(rest).  ``compile_chi`` contracts each
-# term's form from the one before it, so within each table (with or without
-# c_2) the terms must come with j = 0, 1, 2 in this order.
-_TODD = {
-    1: (1, ((1, False, 0),)),
-    2: (2, ((1, False, 0), (1, False, 1))),
-    3: (12, ((2, False, 0), (3, False, 1), (1, False, 2), (1, True, 0))),
-    4: (24, ((1, False, 0), (2, False, 1), (1, False, 2), (1, True, 0), (1, True, 1))),
-}
-
+from .variety import DivisorClass, VarietyData, _check_length, _horner, h0_exact
 
 # t^a = sum_p (-1)^(a-p) S(a, p) p! C(t + p - 1, p), with S the Stirling
 # numbers of the second kind; row a maps p to its coefficient.
 _POWER_ROWS = ({0: 1}, {1: 1}, {1: -1, 2: 2}, {1: 1, 2: -6, 3: 6}, {1: -1, 2: 14, 3: -36, 4: 24})
-
-
-@dataclass(frozen=True)
-class CompiledChi:
-    """denom * chi(x_1 G_1 + ... + x_g G_g) as a nested Horner form (``variety._nest``)."""
-
-    denom: int
-    horner: tuple
-
-
-def compile_chi(v: VarietyData) -> CompiledChi:
-    """The closed form as an integer polynomial in the generator coordinates.
-
-    The coefficient of x^e in a term c_1^j D^(rest) (or c_2 c_1^j D^(rest))
-    is multinomial(e) * F_j(e), where F_0 is the pairing table and
-    F_j(e) = sum_i c_1[i] * F_(j-1)(e + u_i) contracts the previous term
-    once with c_1.  Each table is read once, at j = 0, so a monomial
-    missing from either table raises the same ModelError as the pairing
-    functions would.
-    """
-    g = len(v.generators)
-    denom, todd = _TODD[v.dim]
-    c1 = [(i, -k) for i, k in enumerate(v.canonical.coeffs) if k]
-    terms = {(0,) * g: denom * v.chi_o}
-    for weight, with_c2, j in todd:
-        degree = v.dim - 2 * with_c2 - j
-        if j == 0:
-            table = v.c2_pairings if with_c2 else v.intersection_form
-            what = "c2" if with_c2 else "intersection"
-            form = {}
-            for key in _monomials(g, degree):
-                if key not in table:
-                    raise _missing_monomial(v, what, key)
-                form[key] = table[key]
-        else:
-            form = {
-                e: sum([c * form[(*e[:i], e[i] + 1, *e[i + 1 :])] for i, c in c1])
-                for e in _monomials(g, degree)
-            }
-        for e, value in form.items():
-            multinomial = factorial(degree) // prod(map(factorial, e))
-            terms[e] = terms.get(e, 0) + weight * multinomial * value
-    return CompiledChi(denom, _nest(terms, g))
 
 
 def chi_divisor(v: VarietyData, d: DivisorClass) -> int:

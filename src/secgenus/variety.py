@@ -19,8 +19,12 @@ count.  Past it, arithmetic trusts its inputs and coerces nothing.
 
 Intersection monomials are keyed by exponent tuples over the generator
 list, so symmetry of the form is structural.  A missing monomial is a
-hard model error, never a silent zero; chi, ``top_form`` (D^n) and ``genus_form``
-(2g(D) - 2) read whole tables, so for them it is one on every class.
+hard model error, never a silent zero.  Each model compiles three
+polynomials in the coordinates of D once, on first use, with one compiler
+(``_compile``) and three term lists: chi (``chi_polynomial``, the Todd
+closed form of ``_TODD``), D^n (``top_form``) and (K + (n-1)D) D^(n-1) =
+2g(D) - 2 (``genus_form``).  Each reads whole tables, so for them a missing
+monomial is an error on every class.
 
 Kodaira dimensions take values in {-inf, 0, ..., n}; ``-inf`` is
 ``float("-inf")`` and "undeclared" is ``None``.
@@ -122,37 +126,23 @@ class VarietyData:
         return sum((-1) ** i * h for i, h in enumerate(self.hodge))
 
     @cached_property
-    def chi_polynomial(self):
-        """``hrr.CompiledChi`` of this model, compiled on first use and kept with it."""
-        from .hrr import compile_chi  # local import: hrr builds on this module
-
-        return compile_chi(self)
-
-    @cached_property
-    def _top_terms(self) -> dict:
-        """multinomial(n; e) * table[e] over the degree-n monomials e; raises on a missing one."""
-        n, table, terms = self.dim, self.intersection_form, {}
-        for key in _monomials(len(self.generators), n):
-            if key not in table:
-                raise _missing_monomial(self, "intersection", key)
-            terms[key] = factorial(n) // prod(map(factorial, key)) * table[key]
-        return terms
+    def chi_polynomial(self) -> CompiledChi:
+        """denom * chi as a ``CompiledChi`` (the Todd closed form), compiled on first use."""
+        denom, todd = _TODD[self.dim]
+        return CompiledChi(denom, _compile(self, todd, denom * self.chi_o))
 
     @cached_property
     def top_form(self) -> tuple:
         """D -> D^n as a nested Horner form (see ``_horner``), compiled on first use."""
-        return _nest(self._top_terms, len(self.generators))
+        return _compile(self, ((1, False, 0),))
 
     @cached_property
     def genus_form(self) -> tuple:
-        """D -> (K + (n-1)D) D^(n-1) = 2g(D) - 2 as a nested Horner form, compiled on first use."""
-        n, g, table = self.dim, len(self.generators), self.intersection_form
-        terms = {e: (n - 1) * c for e, c in self._top_terms.items()}  # raises on a gap in table
-        k = [(i, c) for i, c in enumerate(self.canonical.coeffs) if c]
-        for e in _monomials(g, n - 1):  # K D^(n-1): one contraction with K, as in compile_chi
-            contracted = sum([c * table[(*e[:i], e[i] + 1, *e[i + 1 :])] for i, c in k])
-            terms[e] = factorial(n - 1) // prod(map(factorial, e)) * contracted
-        return _nest(terms, g)
+        """D -> (K + (n-1)D) D^(n-1) = 2g(D) - 2 as a nested Horner form, compiled on first use.
+
+        K D^(n-1) = -c_1 D^(n-1): one term on the table and one contraction with c_1.
+        """
+        return _compile(self, ((self.dim - 1, False, 0), (-1, False, 1)))
 
     def zero(self) -> DivisorClass:
         return DivisorClass((0,) * len(self.generators))
@@ -283,6 +273,58 @@ def _check_length(v: VarietyData, *classes: DivisorClass) -> None:
 def _missing_monomial(v: VarietyData, what: str, key: tuple[int, ...]) -> ModelError:
     """The error for a pairing-table lookup of a monomial the model does not give."""
     return ModelError(f"{v.name} {what} table is missing monomial {key}")
+
+
+# dim -> (denominator, terms of denom * (chi(D) - chi(O))) for ``_compile``
+_TODD = {
+    1: (1, ((1, False, 0),)),
+    2: (2, ((1, False, 0), (1, False, 1))),
+    3: (12, ((2, False, 0), (3, False, 1), (1, False, 2), (1, True, 0))),
+    4: (24, ((1, False, 0), (2, False, 1), (1, False, 2), (1, True, 0), (1, True, 1))),
+}
+
+
+@dataclass(frozen=True)
+class CompiledChi:
+    """denom * chi(x_1 G_1 + ... + x_g G_g) as a nested Horner form (see ``_nest``)."""
+
+    denom: int
+    horner: tuple
+
+
+def _compile(v: VarietyData, terms: tuple, constant: int = 0) -> tuple:
+    """constant + the sum of the terms, as a nested Horner form in the coordinates x of D.
+
+    A term (weight, pairs with c_2, j) stands for weight * (c_2 or 1) * c_1^j * D^(rest),
+    as in ``_TODD``.  The coefficient of x^e in c_1^j D^(rest) (or c_2 c_1^j D^(rest)) is
+    multinomial(e) * F_j(e), where F_0(e) = table[e] and the form of each further factor
+    of c_1 contracts the previous one, F_j(e) = sum_i c_1[i] * F_(j-1)(e + u_i).  So each
+    table is read once, at j = 0, within each table the terms must come with j = 0, 1, 2
+    in this order, and no divisor classes are built.  A monomial missing from a table
+    raises the same ModelError as the pairing functions would.
+    """
+    g = len(v.generators)
+    c1 = [(i, -k) for i, k in enumerate(v.canonical.coeffs) if k]
+    coefficients = {(0,) * g: constant}
+    for weight, with_c2, j in terms:
+        degree = v.dim - 2 * with_c2 - j
+        if j == 0:
+            table = v.c2_pairings if with_c2 else v.intersection_form
+            what = "c2" if with_c2 else "intersection"
+            form = {}
+            for key in _monomials(g, degree):
+                if key not in table:
+                    raise _missing_monomial(v, what, key)
+                form[key] = table[key]
+        else:
+            form = {
+                e: sum([c * form[(*e[:i], e[i] + 1, *e[i + 1 :])] for i, c in c1])
+                for e in _monomials(g, degree)
+            }
+        for e, value in form.items():
+            multinomial = factorial(degree) // prod(map(factorial, e))
+            coefficients[e] = coefficients.get(e, 0) + weight * multinomial * value
+    return _nest(coefficients, g)
 
 
 def _expand(
@@ -503,13 +545,14 @@ def validate(v: VarietyData) -> VerificationReport:
     """Consistency checks; a failing report invalidates downstream results.
 
     "(K+3L)L^3 even" evaluates the compiled ``genus_form`` (2g(L) - 2) at
-    each sample L.  "chi expansion integral" asks whether t -> chi(tL) is
-    integer-valued on Z, L the polarization.  It is a polynomial of degree
-    <= n in t, and such a polynomial is integer-valued as soon as it takes
-    integer values at n + 1 consecutive integers (its binomial-basis
-    coefficients are its forward differences there).  So the check evaluates
-    the compiled form at t = 0..n, and runs ``hrr.chi_multi`` only when a
-    value is not an integer, to word the failure with its coefficients.
+    one sample L per non-zero class mod 2 (``_ample_samples``).  "chi
+    expansion integral" asks whether t -> chi(tL) is integer-valued on Z, L
+    the polarization.  It is a polynomial of degree <= n in t, and such a
+    polynomial is integer-valued as soon as it takes integer values at n + 1
+    consecutive integers (its binomial-basis coefficients are its forward
+    differences there).  So the check evaluates the compiled form at
+    t = 0..n, and runs ``hrr.chi_multi`` only when a value is not an
+    integer, to word the failure with its coefficients.
     """
     from . import hrr  # local import: hrr builds on this module
 
@@ -581,14 +624,11 @@ def validate(v: VarietyData) -> VerificationReport:
 
 
 def _ample_samples(v: VarietyData) -> list[DivisorClass]:
-    g = len(v.generators)
-    samples = [DivisorClass((1,) * g), DivisorClass((2,) * g)]
-    if g == 2:
-        samples.append(DivisorClass((1, 2)))
-        samples.append(DivisorClass((3, 1)))
-    else:
-        samples.append(DivisorClass((3,) * g))
-    return samples
+    """One ample class per non-zero class mod 2: {1, 2}^g without (2, ..., 2), (1, ..., 1) first.
+
+    (K + 3L) L^3 mod 2 depends only on L mod 2, and it is even when L is 0 mod 2.
+    """
+    return [DivisorClass(c) for c in product((1, 2), repeat=len(v.generators))][:-1]
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -260,6 +260,18 @@ def test_bounds_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("m_max", ["2", "0", "-3"])
+def test_bounds_m_max_below_asserted_start_exits_2(capsys, m_max):
+    # declared kappa(K+L) = 4 on X6 asserts m >= 3: these ranges hold no nonvanishing row
+    argv = ("bounds", "--variety", "catalog:X6", "--L", "1H", "--m-max")
+    code, out, err = run(capsys, *argv, m_max)
+    assert code == 2 and out == ""
+    assert f"m_max = {m_max} is below the asserted start m >= 3 on X6" in err
+    code, out, _ = run(capsys, "--format", "json", *argv, "3")
+    assert code == 0
+    assert [c["name"] for c in json.loads(out)["checks"]][0] == "nonvanishing[m=3]"
+
+
 def test_variety_file_and_env_override(capsys, tmp_path, monkeypatch, x6):
     path = tmp_path / "mine.json"
     save_variety(x6, path)

@@ -10,17 +10,11 @@ import pytest
 from secgenus.binpoly import coefficients_from_oracle
 from secgenus.errors import AbstainError, InputError, ModelError
 from secgenus.genus import g1_closed
-from secgenus.hrr import (
-    _TODD,
-    CompiledChi,
-    chi_divisor,
-    chi_multi,
-    compile_chi,
-    h0_certified,
-    h0_via_vanishing,
-)
+from secgenus.hrr import chi_divisor, chi_multi, h0_certified, h0_via_vanishing
 from secgenus.suites import suite_integrality
 from secgenus.variety import (
+    _TODD,
+    CompiledChi,
     DivisorClass,
     VarietyData,
     _horner,
@@ -380,7 +374,7 @@ def test_three_generator_missing_monomial_message():
 
 
 def reference_compile_chi(v) -> CompiledChi:
-    """``compile_chi`` built through the pairing functions, on [c_1] * j + generator lists."""
+    """``chi_polynomial`` built through the pairing functions, on [c_1] * j + generator lists."""
     g = len(v.generators)
     denom, todd = _TODD[v.dim]
     c1 = -v.canonical
@@ -498,12 +492,29 @@ def test_nef_and_big_raises_on_any_missing_intersection_monomial(catalog):
                 assert str(raised.value) == f"{v.name} intersection table is missing monomial {key}"
 
 
+def test_top_and_genus_forms_read_only_the_intersection_table(catalog):
+    # D^n and 2g(D) - 2 have no c_2 term: a gap in the c_2 table leaves both forms and
+    # the nef-and-big test as on the complete model, while chi (from dimension 3) raises
+    for v in catalog.values():
+        for key in v.c2_pairings:
+            broken = _without(v, [("c2_pairings", key)])
+            assert broken.top_form == v.top_form, (v.name, key)
+            assert broken.genus_form == v.genus_form, (v.name, key)
+            assert broken.is_nef_and_big(broken.polarization), (v.name, key)
+            if v.dim < 3:
+                assert broken.chi_polynomial == v.chi_polynomial, (v.name, key)
+                continue
+            with pytest.raises(ModelError) as raised:
+                chi_divisor(broken, broken.polarization)
+            assert str(raised.value) == f"{v.name} c2 table is missing monomial {key}"
+
+
 def test_compile_chi_matches_pairing_reference(catalog):
-    # every monomial lookup the reference makes, compile_chi makes in the same
+    # every monomial lookup the reference makes, chi_polynomial makes in the same
     # order: equal forms, and the same error text for one or two missing monomials
     raised = 0
     for v in [*catalog.values(), _p1xp1xp2()]:
-        assert compile_chi(v) == reference_compile_chi(v), v.name
+        assert v.chi_polynomial == reference_compile_chi(v), v.name
         keys = [(f, key) for f in ("intersection_form", "c2_pairings") for key in getattr(v, f)]
         for dropped in [*combinations(keys, 1), *combinations(keys, 2)]:
             broken = _without(v, dropped)
@@ -536,5 +547,5 @@ def test_compile_chi_matches_pairing_reference_on_random_tables():
             c2_pairings={e: rng.randint(-9, 9) for e in _monomials(g, dim - 2)} if dim > 1 else {},
             hodge=(1, *(rng.randint(0, 5) for _ in range(dim))),
         )
-        assert compile_chi(v) == reference_compile_chi(v), (dim, c1)
+        assert v.chi_polynomial == reference_compile_chi(v), (dim, c1)
     assert partial > 50
