@@ -3,10 +3,8 @@
 Subcommands: ``chi``, ``genus``, ``verify``, ``semigroup``, ``classify``,
 ``bounds``.  Varieties come either from the built-in catalog
 (``--variety catalog:X6``) or from a JSON description file
-(``--variety path/to/file.json``); the environment variable
-``SECGENUS_CATALOG_DIR`` points at a directory whose ``<name>.json``
-files override catalog names.  Divisors are written as comma-free signed
-terms over the generator names: ``2a+1b``, ``-1H``, ``0H``.
+(``--variety path/to/file.json``).  Divisors are written as comma-free
+signed terms over the generator names: ``2a+1b``, ``-1H``, ``0H``.
 
 Exit status: 0 all checks passed, 1 assertion failure, 2 input error,
 3 abstention under the ``fail`` abstention policy.  All randomness is
@@ -18,11 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import adjoint, genus, hrr, semigroup, suites
 from .classify import classify_variety
@@ -30,17 +26,10 @@ from .errors import AbstainError, InputError, SecgenusError
 from .report import VerificationReport
 from .variety import VarietyData, load_variety
 
-CATALOG_ENV = "SECGENUS_CATALOG_DIR"
-
 
 def resolve_variety(spec: str) -> VarietyData:
     if spec.startswith("catalog:"):
         name = spec.split(":", 1)[1]
-        override_dir = os.environ.get(CATALOG_ENV)
-        if override_dir:
-            candidate = Path(override_dir) / f"{name}.json"
-            if candidate.exists():
-                return load_variety(candidate)
         catalog = suites.get_catalog()
         if name not in catalog:
             raise InputError(f"unknown catalog entry {name!r}; have {sorted(catalog)}")

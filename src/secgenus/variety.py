@@ -674,7 +674,10 @@ def _int(value, what: str) -> int:
 
 
 def _ints(values, what: str) -> tuple[int, ...]:
-    return tuple(_int(x, what) for x in values)
+    """A JSON list of integers; a string or object is rejected, never iterated."""
+    if type(values) is not list:
+        raise InputError(f"{what} must be a JSON list, got {values!r}")
+    return tuple(_int(x, f"{what} entry") for x in values)
 
 
 def _kappa_from_json(value, dim: int):
@@ -787,9 +790,12 @@ def variety_from_json(data: dict) -> VarietyData:
                 },
                 fine_type=fine_type,
             )
+        name = data["name"]
+        if type(name) is not str or not name:
+            raise InputError(f"name must be a non-empty JSON string, got {name!r}")
         pol = data.get("polarization")
         return VarietyData(
-            name=data["name"],
+            name=name,
             dim=dim,
             generators=generators,
             intersection_form=_table_from_json(
@@ -799,7 +805,7 @@ def variety_from_json(data: dict) -> VarietyData:
             c2_pairings=_table_from_json(
                 data.get("c2_pairings") or {}, generators, dim - 2, "c2 pairing"
             ),
-            hodge=_ints(data["hodge"], "hodge number"),
+            hodge=_ints(data["hodge"], "hodge"),
             kappa_x=_kappa_from_json(data.get("kappa_X"), dim),
             kappa_adjoint=decls,
             h0_oracle=data.get("oracle"),

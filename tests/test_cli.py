@@ -272,17 +272,11 @@ def test_bounds_m_max_below_asserted_start_exits_2(capsys, m_max):
     assert [c["name"] for c in json.loads(out)["checks"]][0] == "nonvanishing[m=3]"
 
 
-def test_variety_file_and_env_override(capsys, tmp_path, monkeypatch, x6):
+def test_variety_file(capsys, tmp_path, x6):
     path = tmp_path / "mine.json"
     save_variety(x6, path)
     code, out, _ = run(capsys, "chi", "--variety", str(path), "--divisor", "2H")
     assert code == 0 and "21" in out
-
-    save_variety(x6, tmp_path / "P4.json")  # shadow a catalog name
-    monkeypatch.setenv("SECGENUS_CATALOG_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "chi", "--variety", "catalog:P4", "--divisor", "1H")
-    assert code == 0
-    assert " 6 " in out.splitlines()[3]  # the override is the sextic model
 
 
 def test_unknown_catalog_entry(capsys):

@@ -1,12 +1,13 @@
 import dataclasses
 import functools
 import hashlib
+import random
 import sys
 
 import pytest
 
-from secgenus import binpoly, suites
-from secgenus.errors import AbstainError, InputError
+from secgenus import adjoint, binpoly, hrr, suites
+from secgenus.errors import AbstainError, InputError, ModelError
 from secgenus.suites import (
     SUITE_NAMES,
     run_suites,
@@ -239,3 +240,81 @@ def test_run_suites_keeps_each_suites_own_defaults(name):
 
 def test_additivity_default_is_the_verify_count():
     assert len(run_suites(["additivity"]).checks) == len(suite_additivity().checks) == 25
+
+
+_OFFSETS = (-24, -3, -2, -1, 1, 2, 3, 24)
+
+
+def _single_entry_plants(catalog, names, fields=("intersection_form", "c2_pairings")):
+    """Each model with one monomial of one table changed by each of _OFFSETS."""
+    plants = []
+    for name in names:
+        v = catalog[name]
+        for field in fields:
+            table = getattr(v, field)
+            for key in sorted(table):
+                for offset in _OFFSETS:
+                    planted = {**table, key: table[key] + offset}
+                    plants.append(dataclasses.replace(v, **{field: planted}))
+    return plants
+
+
+def _expansion_by_chi_multi(v, bundles):
+    # the check as decided by the full binomial-basis expansion alone
+    try:
+        hrr.chi_multi(v, bundles)
+    except ModelError as exc:
+        return False, "integer coefficients", str(exc)
+    return True, "integer coefficients", "ok"
+
+
+def test_lattice_rule_decides_chi_expansions_as_chi_multi_does(catalog):
+    plants = _single_entry_plants(catalog, ("P1xP3", "P2xP2", "X6", "P4", "A4"))
+    assert len(plants) == 176
+    assert sum(not suites._integer_valued(v) for v in plants) == 130
+    rng = random.Random(16)
+    outcomes = {True: 0, False: 0}
+    for v in plants:
+        g = len(v.generators)
+        for _ in range(6):
+            arity = rng.randint(1, v.dim)
+            bundles = [suites._draw_class(rng, g, -2, 2) for _ in range(arity)]
+            result = suites._integer_expansion(v, bundles)
+            assert result == _expansion_by_chi_multi(v, bundles), (v, bundles)
+            outcomes[result[0]] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_integrality_suite_expands_only_models_not_integer_valued(monkeypatch, x6):
+    calls = []
+    original = hrr.chi_multi
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hrr, "chi_multi", counted)
+    report = suite_integrality()
+    assert report.passed and len(report.checks) == 160
+    assert calls == []
+    report = suite_integrality([_x6_c2_91(x6)])
+    assert calls
+    failed = [c for c in report.failures if " chi expansion " in c.name]
+    assert failed and all("non-integer" in c.actual for c in failed)
+
+
+def test_difference_records_a_class_the_model_makes_not_big_as_failed_check(catalog):
+    # on these plants an orthant class that suite_difference draws as nef and big
+    # has D^4 <= 0; that is a failed check, not an InputError out of the suite
+    refused = 0
+    for v in _single_entry_plants(catalog, ("P1xP3", "P2xP2"), ("intersection_form",)):
+        report = suites.suite_difference([v])
+        failed = [c for c in report.failures if "is not nef and big on" in c.actual]
+        if failed:
+            refused += 1
+            assert all(c.expected == "a consistent model" for c in failed)
+            assert all(c.actual.endswith(f"on {v.name}") for c in failed)
+    assert refused == 39
+    p4 = catalog["P4"]
+    with pytest.raises(InputError, match="not nef and big"):
+        adjoint.DifferenceRequest.build(p4, [p4.divisor("0H")], p4.zero())

@@ -490,6 +490,16 @@ def test_json_rejects_bad_polarization(name, polarization, message):
         ("X6", ("kappa_adjoint", "1H", "kappa", "01"), 0, "twist key '01'"),
         ("X6", ("kappa_adjoint", "1H", "kappa", "1_0"), 3, "twist key '1_0'"),
         ("X6", ("kappa_adjoint", "1H", "kappa", " 2"), 4, "twist key ' 2'"),
+        # each loaded as the model's name
+        ("X6", ("name",), None, "name must be a non-empty JSON string, got None"),
+        ("X6", ("name",), [1], r"name must be a non-empty JSON string, got \[1\]"),
+        ("X6", ("name",), 5, "name must be a non-empty JSON string, got 5"),
+        ("X6", ("name",), "", "name must be a non-empty JSON string, got ''"),
+        # each iterated: a string by character, an object by key
+        ("X6", ("hodge",), "10000", "hodge must be a JSON list, got '10000'"),
+        ("X6", ("canonical",), {"a": 1}, "canonical must be a JSON list, got {'a': 1}"),
+        ("X6", ("polarization",), "1", "polarization must be a JSON list, got '1'"),
+        ("P2xP2", ("polarization",), {"a": 1, "b": 1}, "polarization must be a JSON list"),
     ],
 )
 def test_json_rejects_malformed_schema(name, path, value, message):
@@ -504,6 +514,59 @@ def test_json_accepts_kappa_range_ends():
     blob["kappa_X"] = 4
     blob["kappa_adjoint"]["1H"]["kappa"]["1"] = 0
     assert variety_from_json(blob).kappa_x == 4
+
+
+def _json_paths(value, prefix: tuple = ()) -> list[tuple]:
+    """The path of every object member and list entry inside a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths += [(*prefix, key), *_json_paths(child, (*prefix, key))]
+    return paths
+
+
+_DROP = "<drop>"  # a change that deletes the member or entry
+# null, a container of the wrong type (or a string where one belongs), a nested null
+_CHANGES = [_DROP, None, [], {}, "", [None], {"H": None}]
+
+
+@st.composite
+def _structural_change(draw):
+    name = draw(st.sampled_from(sorted(get_catalog())))
+    path = draw(st.sampled_from(_json_paths(_catalog_json(name))))
+    return name, path, draw(st.sampled_from(_CHANGES))
+
+
+@given(_structural_change())
+@example(("X6", ("name",), None))
+@example(("X6", ("hodge",), {"H": None}))
+@example(("P2xP2", ("kappa_adjoint",), [None]))
+@example(("X6", ("kappa_adjoint", "1H"), None))
+@example(("X6", ("kappa_adjoint", "1H", "kappa"), [None]))
+@example(("P1xP3", ("intersections", "a b^3"), _DROP))
+@settings(max_examples=200, deadline=None)
+def test_fuzz_structure_loads_or_raises_input_error(case):
+    # a missing key, a null or a container of the wrong type is an InputError,
+    # never a traceback of another kind
+    name, path, change = case
+    blob = _catalog_json(name)
+    *parents, leaf = path
+    parent = blob
+    for key in parents:
+        parent = parent[key]
+    if change == _DROP:
+        del parent[leaf]
+    else:
+        parent[leaf] = json.loads(json.dumps(change))
+    try:
+        variety_from_json(blob)
+    except InputError:
+        pass
 
 
 _KEY_NAMES = ["H", "a", "b", "L", "Z", "h", "1", "a1", ""]
