@@ -60,36 +60,35 @@ class AdjunctionLabel:
         return self.group
 
 
-def validate_invariants(inv: DeclaredInvariants) -> VerificationReport:
-    """Range and monotonicity checks on the declarations."""
-    report = VerificationReport(title="declared-invariants")
+def _invariant_rules(inv: DeclaredInvariants) -> list[tuple]:
+    """Range and monotonicity rules on the declarations, as (name, passed, expected, actual).
+
+    Below dimension 3 only the dimension rule is listed.
+    """
     if inv.n < 3:
-        report.add("dimension >= 3", False, expected=">= 3", actual=inv.n)
-        return report
-    report.add("dimension >= 3", True, expected=">= 3", actual=inv.n)
+        return [("dimension >= 3", False, ">= 3", inv.n)]
+    rules = [("dimension >= 3", True, ">= 3", inv.n)]
     for a, value in sorted(inv.kappa.items()):
         if value is None:
             continue
         in_range = value == NEG_INF or (isinstance(value, int) and 0 <= value <= inv.n)
-        report.add(
-            f"kappa(K+{a}L) in range",
-            in_range,
-            expected=f"-inf or 0..{inv.n}",
-            actual=value,
-        )
+        rules.append((f"kappa(K+{a}L) in range", in_range, f"-inf or 0..{inv.n}", value))
     declared = sorted((a, k) for a, k in inv.kappa.items() if k is not None)
     for (a1, k1), (a2, k2) in zip(declared, declared[1:]):
-        report.add(
-            f"monotone kappa(K+{a1}L) <= kappa(K+{a2}L)",
-            k1 <= k2,
-            expected=f"<= {k2}",
-            actual=k1,
-        )
+        rules.append((f"monotone kappa(K+{a1}L) <= kappa(K+{a2}L)", k1 <= k2, f"<= {k2}", k1))
     if inv.fine_type is not None:
         known = inv.fine_type in GROUP_LOW + GROUP_MUKAI + GROUP_HIGH or inv.fine_type.startswith(
             "4."
         )
-        report.add("fine type known", known, expected="a listed type", actual=inv.fine_type)
+        rules.append(("fine type known", known, "a listed type", inv.fine_type))
+    return rules
+
+
+def validate_invariants(inv: DeclaredInvariants) -> VerificationReport:
+    """Range and monotonicity checks on the declarations, one row per rule."""
+    report = VerificationReport(title="declared-invariants")
+    for name, passed, expected, actual in _invariant_rules(inv):
+        report.add(name, passed, expected=expected, actual=actual)
     return report
 
 
@@ -102,11 +101,14 @@ def _group_of(kappa_sub: "int | float") -> str:
 
 
 def classify(inv: DeclaredInvariants) -> AdjunctionLabel:
-    """Coarsest label the declarations determine; exact only when declared."""
-    validation = validate_invariants(inv)
-    if not validation.passed:
-        failed = "; ".join(c.name for c in validation.failures)
-        raise InputError(f"invalid declared invariants: {failed}")
+    """Coarsest label the declarations determine; exact only when declared.
+
+    Declarations that break a rule of ``validate_invariants`` raise an
+    InputError naming every broken rule, read from the rules without a report.
+    """
+    failed = [name for name, passed, _, _ in _invariant_rules(inv) if not passed]
+    if failed:
+        raise InputError(f"invalid declared invariants: {'; '.join(failed)}")
     n = inv.n
     kappa_sub = inv.kappa.get(n - 2)
     if kappa_sub is None:

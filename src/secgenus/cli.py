@@ -4,12 +4,15 @@ Subcommands: ``chi``, ``genus``, ``verify``, ``semigroup``, ``classify``,
 ``bounds``.  Varieties come either from the built-in catalog
 (``--variety catalog:X6``) or from a JSON description file
 (``--variety path/to/file.json``).  Divisors are written as comma-free
-signed terms over the generator names: ``2a+1b``, ``-1H``, ``0H``.
+signed terms over the generator names: ``2a+1b``, ``-1H``, ``0H``.  A
+divisor that starts with ``-`` is passed with ``=`` (``--divisor=-1H``,
+``-L=-1H``); argparse reads ``--divisor -1H`` as a missing value.
 
 Exit status: 0 all checks passed, 1 assertion failure, 2 input error,
-3 abstention under the ``fail`` abstention policy.  All randomness is
-driven by a single ``--seed``; a fixed seed and configuration reproduce
-reports byte for byte.
+3 abstention under the ``fail`` abstention policy; a command that
+abstains prints a one-row report holding the abstained check.  All
+randomness is driven by a single ``--seed``; a fixed seed and
+configuration reproduce reports byte for byte.
 """
 
 from __future__ import annotations
@@ -234,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except AbstainError as exc:
+        report = VerificationReport(title=args.command)
+        report.add(f"{args.command}: {exc}", None, note=str(exc))
+        emit(report, args.format)
         if args.abstain == "fail":
             print(f"abstained: {exc}", file=sys.stderr)
             return 3

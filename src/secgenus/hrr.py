@@ -125,13 +125,8 @@ def chi_multi(v: VarietyData, bundles: list[DivisorClass]) -> BinBasisPoly:
     return BinBasisPoly(k, v.dim, integral)
 
 
-def h0_via_vanishing(v: VarietyData, d: DivisorClass) -> int:
-    """h^0(D) = chi(D), certified by D - K_X nef and big; else abstain."""
-    if not v.is_nef_and_big(d - v.canonical):
-        raise AbstainError(
-            f"vanishing not certifiable for {v.divisor_string(d)} on {v.name}: "
-            "D - K_X is not nef and big"
-        )
+def _vanishing_count(v: VarietyData, d: DivisorClass) -> int:
+    """chi(D) as h^0(D) once D - K_X is known nef and big; a negative count is a model error."""
     value = chi_divisor(v, d)
     if value < 0:
         raise ModelError(
@@ -140,14 +135,23 @@ def h0_via_vanishing(v: VarietyData, d: DivisorClass) -> int:
     return value
 
 
+def h0_via_vanishing(v: VarietyData, d: DivisorClass) -> int:
+    """h^0(D) = chi(D), certified by D - K_X nef and big; else abstain."""
+    if not v.is_nef_and_big(d - v.canonical):
+        raise AbstainError(
+            f"vanishing not certifiable for {v.divisor_string(d)} on {v.name}: "
+            "D - K_X is not nef and big"
+        )
+    return _vanishing_count(v, d)
+
+
 def h0_certified(v: VarietyData, d: DivisorClass) -> tuple[int, str]:
     """Best certified section count: vanishing rule first, family oracle second.
 
-    Returns the count together with the certification route used; raises
-    AbstainError when neither route applies.
+    Returns the count together with the certification route used: chi(D)
+    when D - K_X is nef and big (the count step ``h0_via_vanishing`` uses),
+    else the family oracle.  Raises AbstainError when neither route applies.
     """
-    try:
-        return h0_via_vanishing(v, d), "kawamata-viehweg"
-    except AbstainError:
-        pass
+    if v.is_nef_and_big(d - v.canonical):
+        return _vanishing_count(v, d), "kawamata-viehweg"
     return h0_exact(v, d), "family-oracle"

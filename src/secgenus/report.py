@@ -99,12 +99,12 @@ class VerificationReport:
         note: str = "",
     ) -> Check:
         check = Check(
-            name=name,
-            passed=passed,
-            expected=expected if type(expected) is str else fmt(expected),
-            actual=actual if type(actual) is str else fmt(actual),
-            inputs={k: fmt(v) for k, v in inputs.items()} if inputs else {},
-            note=note,
+            name,
+            passed,
+            expected if type(expected) is str else fmt(expected),
+            actual if type(actual) is str else fmt(actual),
+            {k: fmt(v) for k, v in inputs.items()} if inputs else {},
+            note,
         )
         self.checks.append(check)
         return check

@@ -140,3 +140,35 @@ def test_ray_surrogate_matches_declared_labels(catalog):
 def test_label_strings():
     label = AdjunctionLabel(group="7.6-7.9", exact=None, th2=None, certainty="coarse-group")
     assert label.to_string() == "7.6-7.9"
+
+
+def test_classify_reads_the_rules_validate_invariants_reports(monkeypatch):
+    from itertools import product
+
+    from secgenus.report import VerificationReport
+
+    rows = []
+    original = VerificationReport.add
+
+    def counting_add(self, *args, **kwargs):
+        rows.append(args[0])
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(VerificationReport, "add", counting_add)
+    for n in (2, 3, 4):
+        values = (None, NEG_INF, 0, 2, n, n + 1)
+        for kappas, fine in product(product(values, repeat=3), (None, "1", "7.5", "4.2", "9")):
+            inv = DeclaredInvariants(n=n, kappa=dict(zip((1, 2, 3), kappas)), fine_type=fine)
+            failed = "; ".join(c.name for c in validate_invariants(inv).failures)
+            before = len(rows)
+            try:
+                outcome = classify(inv)
+            except (AbstainError, InputError) as exc:
+                outcome = exc
+            assert len(rows) == before  # classify builds no report
+            if failed:
+                assert isinstance(outcome, InputError)
+                assert str(outcome) == f"invalid declared invariants: {failed}"
+            else:
+                assert not str(outcome).startswith("invalid declared invariants")
+    assert rows  # the counter saw validate_invariants' rows

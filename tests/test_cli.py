@@ -348,3 +348,35 @@ def test_semigroup_usage_errors_exit_2(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("input error:") and message in err
+
+
+def test_divisor_starting_with_minus_is_passed_with_equals(capsys):
+    x6 = ("--variety", "catalog:X6")
+    code, out, _ = run(capsys, "--format", "json", "chi", *x6, "--divisor=-1H")
+    assert code == 0
+    assert json.loads(out)["checks"][0]["actual"] == "6"
+    code, _, _ = run(capsys, "genus", *x6, "-i", "1", "-L=-1H", "-L=1H", "-L=1H")
+    assert code == 0
+    with pytest.raises(SystemExit) as exit_info:
+        run(capsys, "chi", *x6, "--divisor", "-1H")
+    assert exit_info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["classify", "bounds"])
+def test_abstention_prints_a_one_row_report(capsys, command):
+    argv = (command, "--variety", "catalog:X6", "--L", "2H")
+    code, out, err = run(capsys, "--format", "json", *argv)
+    assert code == 0 and "abstained" in err
+    blob = json.loads(out)
+    assert blob["suite"] == command
+    assert blob["summary"] == {"abstained": 1, "failed": 0, "passed": 0, "total": 1}
+    (check,) = blob["checks"]
+    assert check["pass"] is None and check["name"] == f"{command}: {err.split(': ', 1)[1].strip()}"
+    code, out, _ = run(capsys, "--format", "csv", *argv, "--abstain", "fail")
+    assert code == 3
+    header, row = out.splitlines()
+    assert header == "name,inputs,expected,actual,pass" and row.endswith(",,,,abstain")
+    code, out, _ = run(capsys, "--format", "table", *argv)
+    assert code == 0
+    assert out.startswith(f"# {command}\n") and "total=1 passed=0 failed=0 abstained=1" in out

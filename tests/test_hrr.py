@@ -549,3 +549,21 @@ def test_compile_chi_matches_pairing_reference_on_random_tables():
         )
         assert v.chi_polynomial == reference_compile_chi(v), (dim, c1)
     assert partial > 50
+
+
+def test_h0_certified_takes_the_route_h0_via_vanishing_decides(catalog):
+    for v in catalog.values():
+        for coeffs in product(range(-4, 5), repeat=len(v.generators)):
+            d = DivisorClass(coeffs)
+            try:
+                want = (h0_via_vanishing(v, d), "kawamata-viehweg")
+            except AbstainError:
+                want = (h0_exact(v, d), "family-oracle")
+            assert h0_certified(v, d) == want, (v.name, coeffs)
+
+
+def test_h0_certified_abstains_without_either_route(x6):
+    bare = dataclasses.replace(x6, h0_oracle=None)
+    assert h0_certified(bare, bare.divisor("1H")) == (6, "kawamata-viehweg")
+    with pytest.raises(AbstainError, match=r"^X6 has no exact section-count oracle$"):
+        h0_certified(bare, bare.divisor("-1H"))

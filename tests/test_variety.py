@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,9 @@ from secgenus.suites import get_catalog
 from secgenus.variety import (
     NEG_INF,
     DivisorClass,
+    VarietyData,
+    _monomials,
+    _multinomial,
     c2_pair,
     catalog_build,
     h0_exact,
@@ -342,6 +346,29 @@ def test_hodge_invariants_enforced():
                 "nef_cone": "ray",
             }
         )
+
+
+def test_h0_of_o_other_than_one_is_refused_before_validate(x6):
+    fields = {f.name: getattr(x6, f.name) for f in dataclasses.fields(x6)}
+    for h0 in (0, 2):
+        hodge = (h0, *x6.hodge[1:])
+        blob = json.loads(json.dumps(variety_to_json(x6)))
+        blob["hodge"] = list(hodge)
+        for build in (
+            lambda: VarietyData(**{**fields, "hodge": hodge}),
+            lambda: dataclasses.replace(x6, hodge=hodge),
+            lambda: variety_from_json(blob),
+        ):
+            with pytest.raises(ModelError, match=r"^h\^0\(O\) must be 1 \(connectedness\)$"):
+                build()
+    assert not [c for c in validate(x6).checks if "h0(O)" in c.name]
+
+
+def test_multinomial_counts_orderings():
+    for g in (1, 2, 3):
+        for degree in range(5):
+            for e in _monomials(g, degree):
+                assert _multinomial(e) == factorial(sum(e)) // prod(factorial(k) for k in e), e
 
 
 # -- the JSON boundary -------------------------------------------------------
