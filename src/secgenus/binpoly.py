@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import comb
+from operator import sub
 from typing import Callable
 
 from .errors import InputError, OracleDegreeError
@@ -113,7 +114,7 @@ class BinBasisPoly:
         return self.coeffs.get(tuple(index), Fraction(0))
 
     def forward_difference(self, axis: int) -> "BinBasisPoly":
-        """The polynomial t -> p(t) - p(t - e_axis).
+        """The backward difference t -> p(t) - p(t - e_axis).
 
         In the binomial basis the difference simply shifts the ``axis``
         entry of every multi-index down by one (Pascal's rule), dropping
@@ -157,10 +158,11 @@ def coefficients_from_oracle(
 ) -> BinBasisPoly:
     """Expand an integer-point oracle over the binomial basis.
 
-    The coefficient at (p_1, ..., p_k) is the iterated forward difference
-    (D_1^{p_1} ... D_k^{p_k} f)(0, ..., 0), computed from the oracle's
-    values on the grid {-n, ..., 0}^k (exactly (n+1)^k calls, n being the
-    degree bound).  Newton interpolation on that grid is unisolvent for
+    The coefficient at (p_1, ..., p_k) is the iterated backward difference
+    (nabla_1^{p_1} ... nabla_k^{p_k} f)(0, ..., 0), with
+    nabla_i f(t) = f(t) - f(t - e_i), computed from the oracle's values on
+    the grid {-n, ..., 0}^k (exactly (n+1)^k calls, n being the degree
+    bound).  Newton interpolation on that grid is unisolvent for
     coordinate degree <= n, so the oracle fails to be a polynomial of
     total degree <= n on the grid precisely when some coefficient with
     total degree > n is non-zero; such inputs are rejected.
@@ -170,27 +172,21 @@ def coefficients_from_oracle(
     if max_degree < 0:
         raise InputError(f"max_degree must be non-negative, got {max_degree}")
     n = max_degree
-    steps = range(n + 1)
     # Oracle values stay in native int/Fraction arithmetic; both are exact.
-    table: dict[MultiIndex, "int | Fraction"] = {}
-    for j in product(steps, repeat=arity):
-        table[j] = f(*(-ji for ji in j))
-
-    # Axis-wise difference transform: c[p] = sum_j (-1)^j C(p, j) a[j].
-    for axis in range(arity):
-        new_table: dict[MultiIndex, "int | Fraction"] = {}
-        for key in table:
-            p = key[axis]
-            total = 0
-            for j in range(p + 1):
-                source = key[:axis] + (j,) + key[axis + 1 :]
-                term = table[source] * comb(p, j)
-                total += -term if j % 2 else term
-            new_table[key] = total
-        table = new_table
+    values = [f(*point) for point in product(range(0, -n - 1, -1), repeat=arity)]
+    # Along each axis in turn, the last (stride 1) first: its entries are cut
+    # into rows a[0], ..., a[n], and round r turns each row a[p], p > r, into
+    # a[p - 1] - a[p], so row p ends holding the p-th backward difference.
+    # Joined, the rows put that axis first; after k passes the order is back.
+    for _ in range(arity):
+        rows = [values[p :: n + 1] for p in range(n + 1)]
+        for r in range(n):
+            for p in range(n, r, -1):
+                rows[p] = list(map(sub, rows[p - 1], rows[p]))
+        values = list(chain.from_iterable(rows))
 
     coeffs: dict[MultiIndex, Fraction] = {}
-    for index, value in table.items():
+    for index, value in zip(product(range(n + 1), repeat=arity), values):
         if value == 0:
             continue
         if sum(index) > n:

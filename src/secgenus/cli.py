@@ -5,8 +5,8 @@ Subcommands: ``chi``, ``genus``, ``verify``, ``semigroup``, ``classify``,
 (``--variety catalog:X6``) or from a JSON description file
 (``--variety path/to/file.json``).  Divisors are written as comma-free
 signed terms over the generator names: ``2a+1b``, ``-1H``, ``0H``.  A
-divisor that starts with ``-`` is passed with ``=`` (``--divisor=-1H``,
-``-L=-1H``); argparse reads ``--divisor -1H`` as a missing value.
+divisor that starts with ``-`` and a letter is passed with ``=``
+(``--divisor=-H``): argparse reads ``--divisor -H`` as a missing value.
 
 Exit status: 0 all checks passed, 1 assertion failure, 2 input error,
 3 abstention under the ``fail`` abstention policy; a command that
@@ -27,7 +27,7 @@ from . import adjoint, genus, hrr, semigroup, suites
 from .classify import classify_variety
 from .errors import AbstainError, InputError, SecgenusError
 from .report import VerificationReport
-from .variety import VarietyData, load_variety
+from .variety import _INTEGER, VarietyData, load_variety
 
 
 def resolve_variety(spec: str) -> VarietyData:
@@ -104,9 +104,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_semigroup(args) -> int:
-    if not re.fullmatch(r"(0|-?[1-9][0-9]*)(,(0|-?[1-9][0-9]*))*", args.set):
+    tokens = args.set.split(",")
+    if not all(_INTEGER.fullmatch(tok) for tok in tokens):
         raise InputError(f"--set needs comma-separated integers, got {args.set!r}")
-    generators = [int(tok) for tok in args.set.split(",")]
+    generators = [int(tok) for tok in tokens]
     report = VerificationReport(title="semigroup")
     inputs = {"set": args.set}
     closed = semigroup.closure(generators, args.bound)
@@ -228,9 +229,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_DIVISOR_FLAGS = ("--divisor", "-L", "--L")  # a divisor such as -1H starts with "-"
+
+
+def _attach_negative_divisors(argv: list[str]) -> list[str]:
+    """``--divisor -1H`` as ``--divisor=-1H``: argparse reads a lone -1H as an unknown option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _DIVISOR_FLAGS and re.match(r"-[0-9]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_divisors(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InputError as exc:

@@ -10,16 +10,12 @@ generator coordinates of D, compiled once per model into a nested Horner
 form (``VarietyData.chi_polynomial``; ``variety._compile`` says how).
 ``chi_divisor`` evaluates it by Horner's rule in integers and divides
 once: a remainder is a model inconsistency, not a rounding situation.
-``chi_multi`` substitutes D = t_1 D_1 + ... + t_k D_k by Horner's rule
-on polynomials in t, tests the integer coefficients for divisibility by
-the denominator, and changes from the monomial to the binomial basis,
-axis by axis, with
-
-    t^a = sum_{p=1..a} (-1)^(a-p) S(a, p) p! C(t + p - 1, p)   (a >= 1)
-
-(S the Stirling numbers of the second kind).  Its coefficients are
-integers exactly when t -> chi(t_1 D_1 + ... + t_k D_k) is integer-valued
-on Z^k, so a model whose chi is not integer-valued fails there, where a
+``chi_multi`` reads the binomial-basis expansion of
+t -> chi(t_1 D_1 + ... + t_k D_k) from the scaled integer values of that
+form on the grid {-n, ..., 0}^k (``binpoly.coefficients_from_oracle``)
+and tests each coefficient for divisibility by the denominator.  The
+coefficients are integers exactly when that map is integer-valued on
+Z^k, so a model whose chi is not integer-valued fails there, where a
 pointwise evaluation on a grid could only raise.
 
 ``h0_via_vanishing`` turns chi into a certified section count under the
@@ -31,14 +27,11 @@ family oracle or be abstained from.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from .binpoly import BinBasisPoly
+from .binpoly import BinBasisPoly, coefficients_from_oracle
 from .errors import AbstainError, InputError, ModelError
 from .variety import DivisorClass, VarietyData, _check_length, _horner, h0_exact
-
-# t^a = sum_p (-1)^(a-p) S(a, p) p! C(t + p - 1, p), with S the Stirling
-# numbers of the second kind; row a maps p to its coefficient.
-_POWER_ROWS = ({0: 1}, {1: 1}, {1: -1, 2: 2}, {1: 1, 2: -6, 3: 6}, {1: -1, 2: 14, 3: -36, 4: 24})
 
 
 def chi_divisor(v: VarietyData, d: DivisorClass) -> int:
@@ -60,69 +53,24 @@ def chi_divisor(v: VarietyData, d: DivisorClass) -> int:
     return quotient
 
 
-def _times(f: dict, g: dict) -> dict:
-    """Product of two polynomials keyed by packed exponents (see ``chi_multi``)."""
-    out: dict = {}
-    for a, x in f.items():
-        for b, y in g.items():
-            out[a + b] = out.get(a + b, 0) + x * y
-    return out
-
-
-def _substitute(form: tuple, forms: list[dict]) -> dict:
-    """A nested Horner form with x_j replaced by the polynomial ``forms[j]``, by Horner's rule."""
-    value: dict = {}
-    for entry in reversed(form):
-        if value:
-            value = _times(value, forms[0])
-        if len(forms) == 1:
-            if entry:
-                value[0] = value.get(0, 0) + entry
-        else:
-            for a, c in _substitute(entry, forms[1:]).items():
-                value[a] = value.get(a, 0) + c
-    return value
-
-
 def chi_multi(v: VarietyData, bundles: list[DivisorClass]) -> BinBasisPoly:
-    """Binomial-basis expansion of (t_1, ..., t_k) -> chi(t_1 D_1 + ... + t_k D_k).
-
-    A monomial t^a is keyed by the integer sum of a_i * base^i: no
-    exponent exceeds dim < base, so a product of monomials is the sum of
-    their keys.
-    """
+    """Binomial-basis expansion of (t_1, ..., t_k) -> chi(t_1 D_1 + ... + t_k D_k)."""
     k = len(bundles)
     if not 1 <= k <= v.dim:
         raise InputError(f"need between 1 and {v.dim} bundles, got {k}")
     _check_length(v, *bundles)
     chi = v.chi_polynomial
-    base = v.dim + 1
-    units = [base**axis for axis in range(k)]
+    columns = list(zip(*(b.coeffs for b in bundles)))  # generator j -> (D_1[j], ..., D_k[j])
 
-    # x_j = sum_i t_i D_i[j]: each generator coordinate as a linear form in t
-    forms = [
-        {unit: b.coeffs[j] for unit, b in zip(units, bundles) if b.coeffs[j]}
-        for j in range(len(v.generators))
-    ]
-    coeffs = _substitute(chi.horner, forms)  # monomial basis, scaled by chi.denom
+    def scaled(*t: int) -> int:  # chi.denom * chi(t_1 D_1 + ... + t_k D_k)
+        return _horner(chi.horner, tuple([sum(map(mul, t, column)) for column in columns]))
 
-    for unit in units:  # t_axis^a -> binomial basis via _POWER_ROWS
-        changed: dict = {}
-        for a, value in coeffs.items():
-            e = a // unit % base
-            rest = a - e * unit
-            for p, factor in _POWER_ROWS[e].items():
-                key = rest + p * unit
-                changed[key] = changed.get(key, 0) + factor * value
-        coeffs = changed
-
-    denom = chi.denom
-    indices = {a: tuple([a // unit % base for unit in units]) for a in coeffs}
-    if any(c % denom for c in coeffs.values()):
-        shown = dict(sorted((indices[a], Fraction(c, denom)) for a, c in coeffs.items() if c))
+    coeffs = coefficients_from_oracle(scaled, k, v.dim).coeffs
+    expansion = {p: c / chi.denom for p, c in coeffs.items()}
+    if any(c.denominator != 1 for c in expansion.values()):
+        shown = dict(sorted(expansion.items()))
         raise ModelError(f"chi expansion on {v.name} has non-integer coefficients: {shown}")
-    integral = {indices[a]: Fraction(c // denom) for a, c in coeffs.items() if c}
-    return BinBasisPoly(k, v.dim, integral)
+    return BinBasisPoly(k, v.dim, expansion)
 
 
 def _vanishing_count(v: VarietyData, d: DivisorClass) -> int:

@@ -155,12 +155,16 @@ def test_extraction_linearity(cs, ds, alpha, beta):
     assert combo.coeffs == merged.coeffs
 
 
-@given(st.lists(st.integers(-6, 6), min_size=5, max_size=5))
+@given(st.data())
 @settings(max_examples=40, deadline=None)
-def test_integer_valued_oracle_gives_integer_coefficients(cs):
-    # polynomials spanned by binomials C(t+p-1, p) are integer-valued
-    base = BinBasisPoly(1, 4, {(p,): Fraction(c) for p, c in enumerate(cs)})
-    poly = coefficients_from_oracle(lambda t: base.eval((t,)), 1, 4)
+def test_integer_valued_oracle_gives_integer_coefficients(data):
+    # polynomials spanned by binomials C(t+p-1, p) are integer-valued; arity >= 3
+    # walks the difference transform's inner strides
+    arity = data.draw(st.sampled_from([1, 3, 4]))
+    indices = [p for p in product(range(5), repeat=arity) if sum(p) <= 4]
+    cs = data.draw(st.dictionaries(st.sampled_from(indices), st.integers(-6, 6), max_size=8))
+    base = BinBasisPoly(arity, 4, {p: Fraction(c) for p, c in cs.items()})
+    poly = coefficients_from_oracle(lambda *t: base.eval(t), arity, 4)
     assert poly.is_integral()
     assert poly.coeffs == base.coeffs
 

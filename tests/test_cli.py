@@ -351,14 +351,24 @@ def test_semigroup_usage_errors_exit_2(capsys, argv, message):
 
 
 def test_divisor_starting_with_minus_is_passed_with_equals(capsys):
+    # with or without "=", a value starting with "-" and a digit is the flag's divisor
     x6 = ("--variety", "catalog:X6")
-    code, out, _ = run(capsys, "--format", "json", "chi", *x6, "--divisor=-1H")
-    assert code == 0
-    assert json.loads(out)["checks"][0]["actual"] == "6"
-    code, _, _ = run(capsys, "genus", *x6, "-i", "1", "-L=-1H", "-L=1H", "-L=1H")
-    assert code == 0
+    genus = ("genus", *x6, "-i", "1")
+    for plain, equals, first_check in [
+        (("chi", *x6, "--divisor", "-1H"), ("chi", *x6, "--divisor=-1H"), {"actual": "6"}),
+        (
+            (*genus, "-L", "-1H", "-L", "1H", "-L", "1H"),
+            (*genus, "-L=-1H", "-L=1H", "-L=1H"),
+            {"actual": "-2", "inputs": {"bundles": "-1H,1H,1H", "i": "1", "variety": "X6"}},
+        ),
+        (("classify", *x6, "--L", "-2H"), ("classify", *x6, "--L=-2H"), {"pass": None}),
+    ]:
+        code, out, err = run(capsys, "--format", "json", *plain)
+        assert code == 0, err
+        assert json.loads(out)["checks"][0].items() >= first_check.items()
+        assert run(capsys, "--format", "json", *equals) == (code, out, err)
     with pytest.raises(SystemExit) as exit_info:
-        run(capsys, "chi", *x6, "--divisor", "-1H")
+        run(capsys, "genus", *x6, "-L", "-i", "1")
     assert exit_info.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
 

@@ -27,7 +27,7 @@ def test_chi_h_values(p4, x6):
 
 def test_chi_h_matches_full_expansion(catalog):
     # inclusion-exclusion over 2^k chi values against the all-ones coefficient
-    # of the substituted expansion; the two share only the compiled chi
+    # of the interpolated expansion; the two share only the compiled chi
     rng = random.Random(4634)
 
     def draw(g, lo, hi):

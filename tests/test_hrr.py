@@ -194,8 +194,8 @@ def test_compiled_chi_matches_reference(catalog):
 
 
 def test_chi_multi_matches_reference_interpolation(catalog):
-    # substitution and change of basis against Newton interpolation of the
-    # reference formula on the (n+1)^k grid
+    # the compiled chi's expansion against the same interpolation of the reference
+    # formula, and against that formula at points t in {1, 2}^k off the grid {-n..0}^k
     rng = random.Random(4634)
     for v in catalog.values():
         g = len(v.generators)
@@ -208,8 +208,11 @@ def test_chi_multi_matches_reference_interpolation(catalog):
                     combined = combined + t * bundle
                 return reference_chi(v, combined)
 
+            poly = chi_multi(v, bundles)
             expected = coefficients_from_oracle(reference, arity, v.dim)
-            assert chi_multi(v, bundles).coeffs == expected.coeffs, (v.name, bundles)
+            assert poly.coeffs == expected.coeffs, (v.name, bundles)
+            for point in product((1, 2), repeat=arity):
+                assert poly.eval(point) == reference(*point), (v.name, bundles, point)
 
 
 def test_wrong_length_class_rejected(catalog, x6):
@@ -346,6 +349,7 @@ def test_three_generator_chi_matches_reference():
 
 
 def test_three_generator_chi_multi_matches_reference_interpolation():
+    # as test_chi_multi_matches_reference_interpolation, on three generators
     v = _p1xp1xp2()
     rng = random.Random(34)
     for arity in range(1, 5):
@@ -358,8 +362,11 @@ def test_three_generator_chi_multi_matches_reference_interpolation():
                     combined = combined + t * bundle
                 return reference_chi(v, combined)
 
+            poly = chi_multi(v, bundles)
             expected = coefficients_from_oracle(reference, arity, v.dim)
-            assert chi_multi(v, bundles).coeffs == expected.coeffs, bundles
+            assert poly.coeffs == expected.coeffs, bundles
+            for point in product((1, 2), repeat=arity):
+                assert poly.eval(point) == reference(*point), (bundles, point)
 
 
 def test_three_generator_missing_monomial_message():

@@ -72,7 +72,8 @@ def test_integrality_and_closed_and_serre():
 
 
 def test_integrality_suite_interpolates_nothing(monkeypatch):
-    # chi_multi substitutes into the compiled chi; no oracle grid is built
+    # the lattice rule decides every expansion of a consistent catalog, so no
+    # oracle grid is built, not even through chi_multi
     original = binpoly.coefficients_from_oracle
     calls = []
 
