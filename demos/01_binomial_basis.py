@@ -3,7 +3,7 @@
 Euler characteristics of twists are polynomials with integer values at
 every integer point, and such polynomials have *integer* coordinates
 over the basis C(t+p-1, p).  This demo builds a few expansions by hand,
-takes forward differences, and extracts coefficients from a black-box
+takes backward differences, and extracts coefficients from a black-box
 oracle.
 """
 
@@ -21,8 +21,8 @@ print()
 p4_twists = BinBasisPoly(1, 4, {(p,): Fraction(1) for p in range(5)})
 print("all-ones expansion at t = 1..5:", [int(p4_twists.eval((t,))) for t in range(1, 6)])
 
-# A forward difference shifts every basis index down by one (Pascal).
-diff = p4_twists.forward_difference(0)
+# A backward difference shifts every basis index down by one (Pascal).
+diff = p4_twists.backward_difference(0)
 print("coefficients after one difference:", sorted(diff.coeffs))
 print()
 

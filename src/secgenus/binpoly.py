@@ -113,7 +113,7 @@ class BinBasisPoly:
     def coefficient(self, index: MultiIndex) -> Fraction:
         return self.coeffs.get(tuple(index), Fraction(0))
 
-    def forward_difference(self, axis: int) -> "BinBasisPoly":
+    def backward_difference(self, axis: int) -> "BinBasisPoly":
         """The backward difference t -> p(t) - p(t - e_axis).
 
         In the binomial basis the difference simply shifts the ``axis``

@@ -26,8 +26,7 @@ from .variety import (
     FOURFOLD_NAMES,
     DivisorClass,
     VarietyData,
-    _horner,
-    _monomials,
+    _non_integer_point,
     intersection_number,
     standard_catalog,
 )
@@ -232,28 +231,15 @@ def suite_bounds(entries: list[VarietyData] | None = None, m_max: int = 10) -> V
     return _or_abstain(report, "no 4-fold entry with a polarization L, kappa(X) >= 0 and K + L nef")
 
 
-def _integer_valued(v: VarietyData) -> bool:
-    """chi is an integer at the C(g + n, n) points e >= 0 with |e| <= n.
-
-    By Polya's binomial basis, a polynomial of degree <= n is then integer-valued on Z^g.
-    """
-    chi = v.chi_polynomial
-    return all(
-        _horner(chi.horner, e) % chi.denom == 0
-        for k in range(v.dim + 1)
-        for e in _monomials(len(v.generators), k)
-    )
-
-
 def _integer_expansion(v: VarietyData, bundles: list[DivisorClass]) -> tuple:
     """Integer binomial-basis coefficients of t -> chi(t_1 D_1 + ... + t_k D_k).
 
     A pull-back of a chi that is integer-valued on the lattice is integer-valued,
-    so ``chi_multi`` runs only on a model that fails ``_integer_valued``.
+    so ``chi_multi`` runs only on a model where ``_non_integer_point`` finds a point.
     """
     # a non-integer coefficient is this check failing, not a model error met on the way
     try:
-        if not _integer_valued(v):
+        if _non_integer_point(v) is not None:
             hrr.chi_multi(v, bundles)
     except ModelError as exc:
         return False, "integer coefficients", str(exc)
@@ -269,10 +255,10 @@ def suite_integrality(
 ) -> VerificationReport:
     """Integer binomial-basis coefficients of chi on seeded bundles, and evenness of (K+3L)L^3.
 
-    A "chi expansion" check passes when chi is an integer at the C(g + n, n)
-    lattice points e >= 0 with |e| <= n, which makes it integer-valued on Z^g
-    (Polya); otherwise ``hrr.chi_multi`` decides its bundles.  A model whose chi
-    is not integer-valued fails the checks whose pull-back is not.
+    A "chi expansion" check passes when ``_non_integer_point`` finds chi
+    integer-valued on the lattice, the rule ``validate`` applies; otherwise
+    ``hrr.chi_multi`` decides its bundles.  A model whose chi is not
+    integer-valued fails the checks whose pull-back is not.
     """
     entries = fourfold_entries() if entries is None else entries
     report = VerificationReport(title="integrality")

@@ -59,15 +59,15 @@ def test_eval_arity_mismatch():
         poly.eval((1,))
 
 
-def test_forward_difference_shifts_indices():
+def test_backward_difference_shifts_indices():
     poly = BinBasisPoly(1, 4, {(p,): Fraction(1) for p in range(5)})
-    diff = poly.forward_difference(0)
+    diff = poly.backward_difference(0)
     assert diff.coeffs == {(p,): Fraction(1) for p in range(4)}
 
 
-def test_forward_difference_of_constant_is_zero():
+def test_backward_difference_of_constant_is_zero():
     poly = BinBasisPoly(1, 3, {(0,): Fraction(5)})
-    assert poly.forward_difference(0).is_zero()
+    assert poly.backward_difference(0).is_zero()
 
 
 def test_double_difference_at_origin(x6):
@@ -75,7 +75,7 @@ def test_double_difference_at_origin(x6):
 
     h = x6.divisor("1H")
     poly = chi_multi(x6, [h, h])
-    diff = poly.forward_difference(0).forward_difference(1)
+    diff = poly.backward_difference(0).backward_difference(1)
     # grid values chi(0,0)=2, chi(-1,0)=chi(0,-1)=6, chi(-1,-1)=21:
     # (2-6)-(6-21) = 11
     assert diff.eval((0, 0)) == 11
@@ -172,7 +172,7 @@ def test_integer_valued_oracle_gives_integer_coefficients(data):
 def test_difference_extraction_consistency():
     poly = BinBasisPoly(2, 4, {(2, 1): Fraction(3), (0, 2): Fraction(-1), (1, 1): Fraction(7)})
     # coefficient at (2,1) equals the (2,1)-fold difference evaluated at 0
-    diff = poly.forward_difference(0).forward_difference(0).forward_difference(1)
+    diff = poly.backward_difference(0).backward_difference(0).backward_difference(1)
     assert diff.eval((0, 0)) == 3
 
 

@@ -252,6 +252,19 @@ def test_non_integer_valued_chi_fails_integrality(x6):
     assert checks["chi expansion integral"].passed is False
 
 
+def test_validate_reads_chi_on_the_lattice_without_a_polarization(x6):
+    # the integrality row needs no L, and the section-count rows show chi exactly:
+    # 24 chi(tH) = 48 + 6t^4 + 91t^2 at t = 1, 2, 3
+    planted = dataclasses.replace(x6, c2_pairings={(2,): 91}, polarization=None)
+    failed = {c.name: (c.expected, c.actual) for c in validate(planted).checks if c.passed is False}
+    assert failed == {
+        "chi(1*(1H)) matches section count": ("6", "145/24"),
+        "chi(2*(1H)) matches section count": ("21", "127/6"),
+        "chi(3*(1H)) matches section count": ("56", "451/8"),
+        "chi expansion integral": ("integer coefficients", "chi(1H) = 145/24"),
+    }
+
+
 def test_non_integer_coefficients_print_in_multi_index_order(x6):
     planted = dataclasses.replace(x6, c2_pairings={(2,): 91})
     bundles = [planted.divisor(text) for text in ("1H", "2H", "-1H")]

@@ -19,6 +19,7 @@ from secgenus.suites import (
     suite_serre,
     suite_c2bound,
 )
+from secgenus.variety import _non_integer_point, validate
 
 
 def _x6_c2_91(x6):
@@ -272,7 +273,7 @@ def _expansion_by_chi_multi(v, bundles):
 def test_lattice_rule_decides_chi_expansions_as_chi_multi_does(catalog):
     plants = _single_entry_plants(catalog, ("P1xP3", "P2xP2", "X6", "P4", "A4"))
     assert len(plants) == 176
-    assert sum(not suites._integer_valued(v) for v in plants) == 130
+    assert sum(_non_integer_point(v) is not None for v in plants) == 130
     rng = random.Random(16)
     outcomes = {True: 0, False: 0}
     for v in plants:
@@ -284,6 +285,28 @@ def test_lattice_rule_decides_chi_expansions_as_chi_multi_does(catalog):
             assert result == _expansion_by_chi_multi(v, bundles), (v, bundles)
             outcomes[result[0]] += 1
     assert outcomes[True] and outcomes[False]
+
+
+def _integer_on_polarization_ray(v):
+    # chi(tL) an integer at t = 0..n: a test on the polarization ray alone
+    try:
+        [hrr.chi_divisor(v, t * v.polarization) for t in range(v.dim + 1)]
+    except ModelError:
+        return False
+    return True
+
+
+def test_validate_fails_integrality_on_exactly_the_plants_off_the_lattice(catalog):
+    plants = _single_entry_plants(catalog, ("P1xP3", "P2xP2", "X6", "P4", "A4"))
+    rows = [
+        next(c for c in validate(v).checks if c.name == "chi expansion integral") for v in plants
+    ]
+    assert [c.passed for c in rows] == [_non_integer_point(v) is None for v in plants]
+    failing = [v for v, c in zip(plants, rows) if not c.passed]
+    assert len(failing) == 130
+    # a wrong table whose chi stays integral along the diagonal ray L = (1, 1)
+    ray_only = [v.name for v in failing if _integer_on_polarization_ray(v)]
+    assert len(ray_only) == 12 and set(ray_only) == {"P1xP3", "P2xP2"}
 
 
 def test_integrality_suite_expands_only_models_not_integer_valued(monkeypatch, x6):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 from math import factorial, prod
 from pathlib import Path
 
@@ -11,9 +12,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import secgenus
+from secgenus import hrr
 from secgenus.errors import AbstainError, InputError, ModelError
 from secgenus.genus import g1_closed
-from secgenus.hrr import chi_multi
+from secgenus.hrr import chi_divisor, chi_multi
 from secgenus.suites import get_catalog
 from secgenus.variety import (
     NEG_INF,
@@ -228,30 +230,46 @@ def test_parity_rows_cover_every_class_mod_2(catalog):
     }
 
 
-def test_validate_ray_check_agrees_with_chi_multi(catalog):
-    # "chi expansion integral" reads n + 1 values of chi(tL); it must pass
-    # exactly when chi_multi(v, [L]) succeeds, and fail with its message
+def test_validate_lattice_check_agrees_with_chi_multi(catalog):
+    # "chi expansion integral" reads chi on the whole lattice: it must pass exactly
+    # when chi_multi over the generator classes succeeds (g <= n, so that expansion
+    # is chi itself), and a failing row names a point e >= 0 with |e| <= n where
+    # chi_divisor finds the same non-integer value
     outcomes = set()
     for v in catalog.values():
+        generators = [v.generator(name) for name in v.generators]
         for field in ("intersection_form", "c2_pairings"):
             table = getattr(v, field)
             for key in table:
                 for offset in range(1, 24):
                     planted = dataclasses.replace(v, **{field: {**table, key: table[key] + offset}})
-                    report = validate(planted)
-                    [check] = [c for c in report.checks if c.name == "chi expansion integral"]
+                    checks = validate(planted).checks
+                    [check] = [c for c in checks if c.name == "chi expansion integral"]
+                    assert check.expected == "integer coefficients"
                     try:
-                        chi_multi(planted, [planted.polarization])
-                    except ModelError as exc:
-                        assert (check.passed, check.expected, check.actual) == (False, "", str(exc))
+                        chi_multi(planted, generators)
+                    except ModelError:
+                        assert check.passed is False
+                        witness = re.fullmatch(r"chi\((.+)\) = (-?\d+/\d+)", check.actual)
+                        point, value = witness.groups()
+                        d = planted.divisor(point)
+                        assert min(d.coeffs) >= 0 and sum(d.coeffs) <= v.dim
+                        with pytest.raises(ModelError, match=f"is not an integer: {value}$"):
+                            chi_divisor(planted, d)
                     else:
-                        assert (check.passed, check.expected, check.actual) == (
-                            True,
-                            "integer coefficients",
-                            "ok",
-                        )
+                        assert (check.passed, check.actual) == (True, "ok")
                     outcomes.add(check.passed)
     assert outcomes == {True, False}
+
+
+def test_validate_makes_no_call_into_hrr(monkeypatch, catalog, x6):
+    calls = []
+    for name in ("chi_divisor", "chi_multi"):
+        monkeypatch.setattr(hrr, name, lambda *args, name=name: calls.append(name))
+    planted = dataclasses.replace(x6, c2_pairings={(2,): 91})
+    for v in [*catalog.values(), planted]:
+        validate(v)
+    assert calls == []
 
 
 def test_divisor_class_arithmetic():
@@ -643,12 +661,18 @@ def _local_imports(node, function=None):
         yield from _local_imports(child, child.name if is_function else function)
 
 
-def test_validate_holds_the_only_function_local_import():
-    # hrr imports variety at module level, so variety may import hrr only inside a
-    # function.  validate keeps that one import: it calls hrr, and it cannot move out
-    # of variety while bench/worker.py calls it as secgenus.variety.validate.
-    found = []
-    for path in sorted(Path(secgenus.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [(path.name, *entry) for entry in _local_imports(tree)]
-    assert found == [("variety.py", "validate", "from . import hrr")]
+def test_no_function_local_import_and_variety_does_not_import_hrr():
+    # hrr imports variety at module level, so an import of hrr in variety, at any
+    # level, would bring the cycle back
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(secgenus.__file__).parent.glob("*.py"))
+    }
+    assert [(name, *entry) for name, tree in trees.items() for entry in _local_imports(tree)] == []
+    imported = []
+    for node in ast.walk(trees["variety.py"]):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert imported and not [name for name in imported if "hrr" in name.split(".")]
