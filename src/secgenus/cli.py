@@ -4,9 +4,9 @@ Subcommands: ``chi``, ``genus``, ``verify``, ``semigroup``, ``classify``,
 ``bounds``.  Varieties come either from the built-in catalog
 (``--variety catalog:X6``) or from a JSON description file
 (``--variety path/to/file.json``).  Divisors are written as comma-free
-signed terms over the generator names: ``2a+1b``, ``-1H``, ``0H``.  A
-divisor that starts with ``-`` and a letter is passed with ``=``
-(``--divisor=-H``): argparse reads ``--divisor -H`` as a missing value.
+signed terms over the generator names: ``2a+1b``, ``-1H``, ``-H``, ``0H``;
+one that starts with ``-`` may follow its flag as a separate word
+(``--divisor -H``) or after ``=`` (``--divisor=-H``).
 
 Exit status: 0 all checks passed, 1 assertion failure, 2 input error,
 3 abstention under the ``fail`` abstention policy; a command that
@@ -88,8 +88,8 @@ def cmd_genus(args) -> int:
     v = resolve_variety(args.variety)
     bundles = [v.divisor(text) for text in args.bundle or []]
     report = VerificationReport(title="genus")
-    value = genus.g_i(v, args.index, bundles)
     chi_h = genus.chi_H_i(v, args.index, bundles)
+    value = genus.genus_from_chi_H(v, args.index, chi_h)
     inputs = {"variety": v.name, "i": args.index, "bundles": ",".join(args.bundle or [])}
     report.add(f"g_{args.index} on {v.name}", True, actual=value, inputs=inputs)
     report.add(f"chi_{args.index}^H on {v.name}", True, actual=chi_h, inputs=inputs)
@@ -229,14 +229,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DIVISOR_FLAGS = ("--divisor", "-L", "--L")  # a divisor such as -1H starts with "-"
+_DIVISOR_FLAGS = ("--divisor", "-L", "--L")  # a divisor such as -1H or -H starts with "-"
+_SHORT_FLAGS = ("-h", "-i", "-L")  # the parser's own single-dash flags, never a divisor
 
 
 def _attach_negative_divisors(argv: list[str]) -> list[str]:
-    """``--divisor -1H`` as ``--divisor=-1H``: argparse reads a lone -1H as an unknown option."""
+    """``--divisor -H`` as ``--divisor=-H``: argparse reads a lone -H or -1H as an option.
+
+    A value after a divisor flag joins it when it starts with one ``-`` and a digit or
+    letter and is not one of ``_SHORT_FLAGS``, so ``-L -i 1`` still lacks its value.
+    """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _DIVISOR_FLAGS and re.match(r"-[0-9]", token):
+        divisor = re.match(r"-[0-9A-Za-z]", token) and token not in _SHORT_FLAGS
+        if out and out[-1] in _DIVISOR_FLAGS and divisor:
             out[-1] += "=" + token
         else:
             out.append(token)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import AbstainError, InputError
 from .hrr import h0_certified
@@ -81,50 +81,30 @@ def closure(generators: Iterable[int], bound: int) -> SemigroupSet:
 
 
 def guaranteed_threshold(generators: Iterable[int]) -> int | None:
-    """Least r such that every m >= r lies in the additive closure.
+    """Least r such that every m >= r lies in the additive closure; None if there is none.
 
-    Derived from the best coprime pair in the set: beyond (p-1)(q-1) the
-    pair alone covers everything, and enumeration below refines the
-    start.  Returns None when the set contains no coprime pair (then no
-    such r is certified by this method).
+    There is one exactly when the gcd of the set is 1.  Then Schur's bound on the
+    Frobenius number, F <= (a_1 - 1)(a_k - 1) - 1 for the least generator a_1 and the
+    greatest a_k, puts every m >= (a_1 - 1)(a_k - 1) in the closure, so r is read from
+    the closure below that.
     """
     gens = sorted(set(generators))
     if not gens:
         raise InputError("generator set must be nonempty")
     if gens[0] <= 0:
         raise InputError("generators must be positive")
-    best = None
-    for idx, p in enumerate(gens):
-        for q in gens[idx:]:
-            if gcd(p, q) == 1:
-                frontier = (p - 1) * (q - 1)
-                if best is None or frontier < best:
-                    best = frontier
-    if best is None:
+    if gcd(*gens) > 1:
         return None
-    start = max(best, 1)
-    bound = start + max(gens)
-    members = set(closure(gens, bound).members)
-    # Everything in [start, bound] is covered by the coprime pair; walk the
-    # run of consecutive members downward to the true threshold.
-    if any(v not in members for v in range(start, bound + 1)):
-        raise AssertionError("closure disagrees with the coin threshold")
-    r = start
-    while r - 1 >= 1 and (r - 1) in members:
-        r -= 1
-    return r
+    bound = (gens[0] - 1) * (gens[-1] - 1)
+    members = set(closure(gens, max(bound, 1)).members)
+    return 1 + max((m for m in range(1, bound) if m not in members), default=0)
 
 
-def empirical_min_r(
-    entries: list[tuple[VarietyData, DivisorClass]],
-    r_max: int,
-    h0: Callable[[VarietyData, DivisorClass], int] | None = None,
-) -> int | None:
+def empirical_min_r(entries: list[tuple[VarietyData, DivisorClass]], r_max: int) -> int | None:
     """Least r <= r_max with h^0(r(K+L)) > 0 for every entry; None if absent.
 
-    Counts come from the certified route unless an explicit ``h0``
-    callable is supplied (used for synthetic oracles in tests).  An entry
-    whose count cannot be certified raises an abstention.
+    Counts come from the certified route; an entry whose count cannot be
+    certified raises an abstention.
     """
     if not entries:
         raise InputError("entry list must be nonempty")
@@ -133,8 +113,6 @@ def empirical_min_r(
             raise InputError(f"K + L not nef on {v.name} for L = {v.divisor_string(ell)}")
 
     def count(v: VarietyData, d: DivisorClass) -> int:
-        if h0 is not None:
-            return h0(v, d)
         try:
             value, _ = h0_certified(v, d)
         except AbstainError as exc:

@@ -23,7 +23,6 @@ from .binpoly import coefficients_from_oracle
 from .errors import AbstainError, InputError, ModelError
 from .report import VerificationReport
 from .variety import (
-    FOURFOLD_NAMES,
     DivisorClass,
     VarietyData,
     _non_integer_point,
@@ -51,8 +50,8 @@ def get_catalog() -> dict[str, VarietyData]:
 
 
 def fourfold_entries() -> list[VarietyData]:
-    catalog = get_catalog()
-    return [catalog[name] for name in FOURFOLD_NAMES]
+    """The catalog's 4-folds, in catalog order."""
+    return [v for v in get_catalog().values() if v.dim == 4]
 
 
 def _draw_class(rng: random.Random, n_gens: int, lo: int, hi: int) -> DivisorClass:

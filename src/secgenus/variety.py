@@ -394,122 +394,83 @@ def c2_pair(v: VarietyData, classes: list[DivisorClass]) -> int:
 
 # -- catalog ----------------------------------------------------------------
 
+# Fine types are declared only below the big-adjoint range; for hypersurfaces of
+# degree d >= 5 the terminal second-reduction label is the classification.
+# d = 3: K = -(n-1)H, a Del Pezzo manifold; d = 4: K = -(n-2)H, Mukai.
+_FINE_TYPES = {
+    "p3": "1",
+    "p4": "1",
+    "p1xp3": "3",
+    "p2xp2": "4",
+    "hypersurface:2": "2",
+    "hypersurface:3": "4",
+    "hypersurface:4": "7.5",
+}
 
-def _entry(dims: tuple[int, ...], fine_type: str | None, **model) -> VarietyData:
-    """A catalog entry polarized by the sum of its generators, with its kappa declarations.
 
-    The generators come from factors of dimensions ``dims`` (a hypersurface or A4 is one
-    factor of dimension 4): kappa(sum c_i H_i) is -inf if some c_i < 0, else sum_{c_i > 0} n_i.
+def catalog_build(tag: str, l4: int | None = None) -> VarietyData:
+    """The catalog entry the oracle tag names, polarized by the sum of its generators.
+
+    ``p<n>(xp<n>)*`` of dimension <= 4 is built from its factor dimensions (``_oracle``):
+    generator i is the pull-back of factor i's hyperplane class (``H`` for one factor,
+    else ``a, b, c, d``), H^e = [e = dims], K = -sum (n_i + 1) H_i and, by
+    c(X) = prod (1 + H_i)^(n_i + 1), H^e pairs with c_2 to prod C(n_i + 1, e_i + 1).
+    ``hypersurface:<d>`` and ``abelian`` (L^4 = ``l4``, a positive multiple of 24) come
+    from closed forms.  kappa(sum c_i H_i) is -inf if some c_i < 0, else sum_{c_i > 0} n_i.
     """
+    dims = _oracle(tag)[0]
+    n, g = sum(dims), len(dims)
+    if tag == "abelian":
+        if l4 is None or l4 <= 0 or l4 % 24 != 0:
+            raise InputError(f"abelian needs L^4 a positive multiple of 24, got {l4}")
+        name = "A4"
+        generators, canonical, top = ("L",), (0,), {(4,): l4}
+        c2, hodge = {(2,): 0}, (1, 4, 6, 4, 1)
+    elif l4 is not None:
+        raise InputError(f"only 'abelian' takes L^4, got {l4} for {tag!r}")
+    elif tag.startswith("hypersurface:"):
+        d = int(tag.partition(":")[2])
+        name = "Q4" if d == 2 else f"X{d}"
+        generators, canonical, top = ("H",), (d - 6,), {(4,): d}
+        # c(X) = (1+H)^6 / (1+dH) restricted: c_2 = (d^2 - 6d + 15) H^2
+        c2, hodge = {(2,): (d * d - 6 * d + 15) * d}, (1, 0, 0, 0, comb(d - 1, 5))
+    elif n > 4:
+        raise InputError(f"catalog entries have dimension at most 4, {tag!r} has {n}")
+    else:
+        name = "x".join(f"P{k}" for k in dims)
+        generators = ("H",) if g == 1 else tuple("abcd"[:g])
+        top = {e: int(e == dims) for e in _monomials(g, n)}
+        canonical = tuple(-(k + 1) for k in dims)
+        pairs = _monomials(g, n - 2) if n >= 2 else ()
+        c2 = {e: prod(comb(k + 1, i + 1) for i, k in zip(e, dims)) for e in pairs}
+        hodge = (1,) + (0,) * n
 
     def kappa(coeffs) -> "int | float":
-        return NEG_INF if min(coeffs) < 0 else sum(n for c, n in zip(coeffs, dims) if c)
+        return NEG_INF if min(coeffs) < 0 else sum(k for c, k in zip(coeffs, dims) if c)
 
-    k = model["canonical"].coeffs
-    pol = DivisorClass((1,) * len(k))
-    decl = AdjointDeclaration({t: kappa([c + t for c in k]) for t in (1, 2, 3)}, fine_type)
+    pol = DivisorClass((1,) * g)
+    kappas = {t: kappa([c + t for c in canonical]) for t in (1, 2, 3)}
+    decl = AdjointDeclaration(kappas, _FINE_TYPES.get(tag))
     return VarietyData(
-        dim=sum(dims),
-        kappa_x=kappa(k),
-        kappa_adjoint={format_divisor(pol, model["generators"]): decl},
-        polarization=pol,
-        **model,
-    )
-
-
-def _product(names: tuple[str, ...], dims: tuple[int, ...], fine_type: str | None) -> VarietyData:
-    """P^n_1 x ... x P^n_k, generator i the pull-back of the hyperplane class H_i.
-
-    H^e = [e = dims] and K = -sum (n_i + 1) H_i.  By c(X) = prod (1 + H_i)^(n_i + 1),
-    H^e pairs with c_2 to prod C(n_i + 1, n_i - e_i) = prod C(n_i + 1, e_i + 1).
-    """
-    n, g = sum(dims), len(dims)
-    pairs = _monomials(g, n - 2) if n >= 2 else ()
-    name = "x".join(f"P{k}" for k in dims)
-    return _entry(
-        dims,
-        fine_type,
         name=name,
-        generators=names,
-        intersection_form={e: int(e == dims) for e in _monomials(g, n)},
-        canonical=DivisorClass(tuple(-(k + 1) for k in dims)),
-        c2_pairings={e: prod(comb(k + 1, i + 1) for i, k in zip(e, dims)) for e in pairs},
-        hodge=(1,) + (0,) * n,
-        h0_oracle=name.lower(),
+        dim=n,
+        generators=generators,
+        intersection_form=top,
+        canonical=DivisorClass(canonical),
+        c2_pairings=c2,
+        hodge=hodge,
+        kappa_x=kappa(canonical),
+        kappa_adjoint={format_divisor(pol, generators): decl},
+        h0_oracle=tag,
+        polarization=pol,
     )
-
-
-def catalog_build(family: str, param: int | None = None) -> VarietyData:
-    """Build one fully populated catalog entry with its section-count oracle.
-
-    Families: ``projective_space`` (n <= 4), ``product_P1xP3`` and
-    ``product_P2xP2``, all built by one rule from their factor dimensions;
-    ``hypersurface_in_P5`` (degree d >= 2) and ``abelian_fourfold`` (top
-    self-intersection a positive multiple of 24), from closed forms.  Every
-    entry is polarized by the sum of its generators.
-    """
-    if family == "projective_space":
-        n = param
-        if n is None or not 1 <= n <= 4:
-            raise InputError(f"projective_space needs n in 1..4, got {n}")
-        return _product(("H",), (n,), "1" if n >= 3 else None)
-    if family == "hypersurface_in_P5":
-        d = param
-        if d is None or d < 2:
-            raise InputError(f"hypersurface_in_P5 needs degree d >= 2, got {d}")
-        # Fine types are declared only below the big-adjoint range; for
-        # d >= 5 the terminal second-reduction label is the classification.
-        # d = 3: K = -(n-1)H, a Del Pezzo manifold; d = 4: K = -(n-2)H, Mukai.
-        return _entry(
-            (4,),
-            {2: "2", 3: "4", 4: "7.5"}.get(d),
-            name="Q4" if d == 2 else f"X{d}",
-            generators=("H",),
-            intersection_form={(4,): d},
-            canonical=DivisorClass((d - 6,)),
-            # c(X) = (1+H)^6 / (1+dH) restricted: c_2 = (d^2 - 6d + 15) H^2
-            c2_pairings={(2,): (d * d - 6 * d + 15) * d},
-            hodge=(1, 0, 0, 0, comb(d - 1, 5)),
-            h0_oracle=f"hypersurface:{d}",
-        )
-    if family == "abelian_fourfold":
-        l4 = param
-        if l4 is None or l4 <= 0 or l4 % 24 != 0:
-            raise InputError(f"abelian_fourfold needs L^4 a positive multiple of 24, got {l4}")
-        return _entry(
-            (4,),
-            None,
-            name="A4",
-            generators=("L",),
-            intersection_form={(4,): l4},
-            canonical=DivisorClass((0,)),
-            c2_pairings={(2,): 0},
-            hodge=(1, 4, 6, 4, 1),
-            h0_oracle="abelian",
-        )
-    if family == "product_P1xP3":
-        return _product(("a", "b"), (1, 3), "3")
-    if family == "product_P2xP2":
-        return _product(("a", "b"), (2, 2), "4")
-    raise InputError(f"unknown catalog family {family!r}")
 
 
 def standard_catalog() -> dict[str, VarietyData]:
-    """The named entries used throughout the verification suites."""
-    entries = [
-        catalog_build("projective_space", 1),
-        catalog_build("projective_space", 2),
-        catalog_build("projective_space", 3),
-        catalog_build("projective_space", 4),
-        catalog_build("product_P1xP3"),
-        catalog_build("product_P2xP2"),
-    ]
-    entries += [catalog_build("hypersurface_in_P5", d) for d in range(2, 8)]
-    entries.append(catalog_build("abelian_fourfold", 24))
+    """The named entries used throughout the verification suites, in this order."""
+    tags = ["p1", "p2", "p3", "p4", "p1xp3", "p2xp2", *(f"hypersurface:{d}" for d in range(2, 8))]
+    entries = [catalog_build(tag) for tag in tags] + [catalog_build("abelian", 24)]
     return {v.name: v for v in entries}
-
-
-FOURFOLD_NAMES = ("P4", "P1xP3", "P2xP2", "Q4", "X3", "X4", "X5", "X6", "X7", "A4")
 
 
 # -- exact section counts ----------------------------------------------------
@@ -531,23 +492,29 @@ def _abelian(v: VarietyData, coeffs: tuple[int, ...]) -> int:
     return 1 if m == 0 else max(m, 0) ** 4 * v.intersection_form[(4,)] // 24
 
 
+_PRODUCT_TAG = re.compile(r"p[1-9][0-9]*(xp[1-9][0-9]*)*")
+_HYPERSURFACE_TAG = re.compile(r"hypersurface:([1-9][0-9]*)")
+
+
 @cache
 def _oracle(tag: str):
-    """The (dim, generator count) shape of an oracle tag and its rule (model, coeffs) -> h^0.
+    """The factor dimensions of the family an oracle tag names and its rule (model, coeffs) -> h^0.
 
     Tags: ``p<n>(xp<n>)*`` (n >= 1, no leading zeros), ``hypersurface:<d>``
-    (d >= 2, spelled canonically) and ``abelian``.
+    (d >= 2, spelled canonically) and ``abelian``; a hypersurface or A4 is one
+    factor of dimension 4.  A model with the tag has dimension sum(dims) and
+    len(dims) generators.
     """
-    if re.fullmatch(r"p[1-9][0-9]*(xp[1-9][0-9]*)*", tag):
+    if _PRODUCT_TAG.fullmatch(tag):
         dims = tuple(int(factor[1:]) for factor in tag.split("x"))
-        return (sum(dims), len(dims)), lambda v, coeffs: _sections(dims, coeffs)
-    hyper = re.fullmatch(r"hypersurface:([1-9][0-9]*)", tag)
+        return dims, lambda v, coeffs: _sections(dims, coeffs)
+    hyper = _HYPERSURFACE_TAG.fullmatch(tag)
     if hyper and int(hyper[1]) >= 2:
         d = int(hyper[1])
         # restriction from P^5: 0 -> O(m-d) -> O(m) -> O_X(m) -> 0
-        return (4, 1), lambda v, c: _sections((5,), c) - _sections((5,), (c[0] - d,))
+        return (4,), lambda v, c: _sections((5,), c) - _sections((5,), (c[0] - d,))
     if tag == "abelian":
-        return (4, 1), _abelian
+        return (4,), _abelian
     raise InputError(f"unknown oracle tag {tag!r}")
 
 
@@ -733,10 +700,10 @@ def _check_oracle(tag, dim: int, n_gens: int) -> None:
         return
     if not isinstance(tag, str):
         raise InputError(f"oracle tag must be a string, got {tag!r}")
-    shape = _oracle(tag)[0]
-    if shape != (dim, n_gens):
+    dims = _oracle(tag)[0]
+    if (sum(dims), len(dims)) != (dim, n_gens):
         raise InputError(
-            f"oracle {tag!r} needs dim {shape[0]} with {shape[1]} generator(s), "
+            f"oracle {tag!r} needs dim {sum(dims)} with {len(dims)} generator(s), "
             f"got dim {dim} with {n_gens}"
         )
 

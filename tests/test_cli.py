@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from secgenus.cli import main
+from secgenus.cli import _SHORT_FLAGS, build_parser, main
 from secgenus.variety import save_variety, variety_to_json
 
 
@@ -351,26 +351,48 @@ def test_semigroup_usage_errors_exit_2(capsys, argv, message):
 
 
 def test_divisor_starting_with_minus_is_passed_with_equals(capsys):
-    # with or without "=", a value starting with "-" and a digit is the flag's divisor
+    # with or without "=", a value starting with "-" and a digit or letter is the flag's divisor
     x6 = ("--variety", "catalog:X6")
     genus = ("genus", *x6, "-i", "1")
     for plain, equals, first_check in [
         (("chi", *x6, "--divisor", "-1H"), ("chi", *x6, "--divisor=-1H"), {"actual": "6"}),
+        (("chi", *x6, "--divisor", "-H"), ("chi", *x6, "--divisor=-H"), {"actual": "6"}),
+        (
+            (*genus, "-L", "-H", "-L", "H", "-L", "H"),
+            (*genus, "-L=-H", "-L=H", "-L=H"),
+            {"actual": "-2", "inputs": {"bundles": "-H,H,H", "i": "1", "variety": "X6"}},
+        ),
         (
             (*genus, "-L", "-1H", "-L", "1H", "-L", "1H"),
             (*genus, "-L=-1H", "-L=1H", "-L=1H"),
             {"actual": "-2", "inputs": {"bundles": "-1H,1H,1H", "i": "1", "variety": "X6"}},
         ),
         (("classify", *x6, "--L", "-2H"), ("classify", *x6, "--L=-2H"), {"pass": None}),
+        (("classify", *x6, "--L", "-H"), ("classify", *x6, "--L=-H"), {"pass": None}),
     ]:
         code, out, err = run(capsys, "--format", "json", *plain)
         assert code == 0, err
         assert json.loads(out)["checks"][0].items() >= first_check.items()
         assert run(capsys, "--format", "json", *equals) == (code, out, err)
-    with pytest.raises(SystemExit) as exit_info:
-        run(capsys, "genus", *x6, "-L", "-i", "1")
-    assert exit_info.value.code == 2
-    assert "expected one argument" in capsys.readouterr().err
+    # the parser's own flags are never read as a divisor
+    for flag in ("-i", "-L", "-h"):
+        with pytest.raises(SystemExit) as exit_info:
+            run(capsys, "genus", *x6, "-L", flag, "1")
+        assert exit_info.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
+def test_short_flags_are_the_parsers_single_dash_flags():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.choices and "genus" in a.choices)
+    flags = {
+        flag
+        for p in (parser, *subparsers.choices.values())
+        for action in p._actions
+        for flag in action.option_strings
+        if not flag.startswith("--")
+    }
+    assert flags == set(_SHORT_FLAGS)
 
 
 @pytest.mark.parametrize("command", ["classify", "bounds"])

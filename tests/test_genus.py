@@ -102,7 +102,7 @@ def test_chi_h_table_rejects_wrong_length(p1xp3):
 
 
 def test_genus_keeps_no_reference_to_the_model():
-    v = catalog_build("hypersurface_in_P5", 6)
+    v = catalog_build("hypersurface:6")
     h = v.divisor("1H")
     assert chi_H_i(v, 2, [h, h]) == 11
     assert g_i(v, 1, [h, h, h]) == 10

@@ -20,7 +20,6 @@ from secgenus.variety import (
     _horner,
     _monomials,
     _nest,
-    _product,
     c2_pair,
     catalog_build,
     h0_exact,
@@ -171,7 +170,7 @@ def test_h0_certified_falls_back_to_oracle(a4):
 
 
 def test_abelian_scaled_polarization():
-    big = catalog_build("abelian_fourfold", 48)
+    big = catalog_build("abelian", 48)
     ell = big.divisor("1L")
     assert intersection_number(big, [ell] * 4) == 48
     assert chi_divisor(big, 2 * ell) == 32
@@ -326,7 +325,7 @@ def _p1xp1xp2(drop=None, oracle=None, c2_shift=0):
 
 def test_product_builder_matches_hand_written_p1xp1xp2():
     # the hand-written tables check the builder's c_2 rule on three factors
-    built, hand = _product(("a", "b", "c"), (1, 1, 2), None), _p1xp1xp2()
+    built, hand = catalog_build("p1xp1xp2"), _p1xp1xp2()
     assert built.name == hand.name and built.h0_oracle == "p1xp1xp2"
     for field in ("dim", "intersection_form", "canonical", "c2_pairings", "hodge", "polarization"):
         assert getattr(built, field) == getattr(hand, field), field
@@ -432,7 +431,7 @@ def test_top_form_matches_intersection_number(catalog):
 def _genus_models(catalog):
     """Catalog entries, P1xP1xP2, P1xP2 and seeded random integer models on their shapes."""
     rng = random.Random(14)
-    models = [*catalog.values(), _p1xp1xp2(), _product(("a", "b"), (1, 2), None)]
+    models = [*catalog.values(), _p1xp1xp2(), catalog_build("p1xp2")]
     for v in list(models):
         g = len(v.generators)
         for _ in range(3):

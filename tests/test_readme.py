@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from secgenus.cli import main
-from secgenus.variety import _oracle
+from secgenus.variety import _oracle, catalog_build, validate
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -37,7 +37,15 @@ def test_readme_oracle_table_matches_the_tag_parser():
     tags = [tag.strip(" `") for tag, _, _ in rows]
     assert tags == ["p4", "p1xp3", "p2xp2", "p1xp1xp2", "hypersurface:6", "abelian"]
     for tag, (_, dim, gens) in zip(tags, rows):
-        assert _oracle(tag)[0] == (int(dim), int(gens)), tag
+        dims = _oracle(tag)[0]
+        assert (sum(dims), len(dims)) == (int(dim), int(gens)), tag
+
+
+def test_readme_oracle_table_names_buildable_entries():
+    for tag, _, _ in (line.split("|")[1:4] for line in _section_lines("Command line", "| `")[1:]):
+        tag = tag.strip(" `")
+        v = catalog_build(tag, 24 if tag == "abelian" else None)
+        assert v.h0_oracle == tag and validate(v).passed, tag
 
 
 @pytest.mark.parametrize("line", CLI_LINES)

@@ -1,9 +1,11 @@
+from itertools import combinations
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secgenus import semigroup
 from secgenus.errors import AbstainError, InputError
 from secgenus.semigroup import (
     closure,
@@ -85,6 +87,20 @@ def test_guaranteed_threshold_examples():
     assert guaranteed_threshold({2, 4}) is None  # all even
     assert guaranteed_threshold({1}) == 1
     assert guaranteed_threshold({2, 3}) == 2
+    assert guaranteed_threshold({6, 10, 15}) == 30  # gcd 1, yet no two are coprime
+
+
+def test_guaranteed_threshold_matches_the_closure_on_small_sets():
+    # None exactly when the gcd exceeds 1; else every m >= r is a member and r - 1 is not
+    for size in (1, 2, 3):
+        for gens in combinations(range(1, 19), size):
+            r = guaranteed_threshold(gens)
+            if gcd(*gens) > 1:
+                assert r is None, gens
+                continue
+            members = set(closure(gens, 18 * 18).members)
+            assert all(m in members for m in range(r, 18 * 18 + 1)), gens
+            assert r == 1 or r - 1 not in members, gens
 
 
 def test_guaranteed_threshold_at_most_frobenius_bound():
@@ -124,14 +140,16 @@ def test_empirical_min_r_catalog(catalog):
     assert empirical_min_r(entries, 4) == 1  # h^0(K+L) = 5, 6, 1
 
 
-def test_empirical_min_r_synthetic_oracle(x6):
+def test_empirical_min_r_synthetic_oracle(x6, monkeypatch):
     # synthetic family where the first multiple has no sections
     def fake_h0(v, d):
         m = d.coeffs[0]
-        return max(m - 1, 0)
+        return max(m - 1, 0), "synthetic"
 
-    assert empirical_min_r([(x6, x6.divisor("1H"))], 4, h0=fake_h0) == 2
-    assert empirical_min_r([(x6, x6.divisor("1H"))], 4, h0=lambda v, d: 0) is None
+    monkeypatch.setattr(semigroup, "h0_certified", fake_h0)
+    assert empirical_min_r([(x6, x6.divisor("1H"))], 4) == 2
+    monkeypatch.setattr(semigroup, "h0_certified", lambda v, d: (0, "synthetic"))
+    assert empirical_min_r([(x6, x6.divisor("1H"))], 4) is None
 
 
 def test_empirical_min_r_contract(x6, p4):

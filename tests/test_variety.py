@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+from itertools import product
 from math import factorial, prod
 from pathlib import Path
 
@@ -137,14 +138,42 @@ def test_catalog_p4_data(p4):
 
 
 def test_catalog_rejects_bad_params():
-    with pytest.raises(InputError):
-        catalog_build("projective_space", 5)
-    with pytest.raises(InputError):
-        catalog_build("hypersurface_in_P5", 1)
-    with pytest.raises(InputError):
-        catalog_build("abelian_fourfold", 23)
-    with pytest.raises(InputError):
-        catalog_build("weighted_projective", 3)
+    for tag, l4, message in [
+        ("p5", None, "dimension at most 4"),
+        ("p2xp3", None, "dimension at most 4"),
+        ("hypersurface:1", None, "unknown oracle tag"),
+        ("abelian", 23, "positive multiple of 24"),
+        ("abelian", None, "positive multiple of 24"),
+        ("p4", 24, "only 'abelian' takes L"),
+        ("hypersurface:6", 24, "only 'abelian' takes L"),
+        ("projective_space", None, "unknown oracle tag"),
+        ("abelian_fourfold", 24, "unknown oracle tag"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            catalog_build(tag, l4)
+
+
+# every product of projective spaces of dimension at most 4: 1 + 2 + 4 + 8 = 15 tags
+PRODUCT_TAGS = [
+    "x".join(f"p{k}" for k in dims)
+    for g in range(1, 5)
+    for dims in product(range(1, 5), repeat=g)
+    if sum(dims) <= 4
+]
+
+
+@pytest.mark.parametrize("tag", PRODUCT_TAGS)
+def test_every_product_tag_builds_validates_and_round_trips(tag):
+    v = catalog_build(tag)
+    dims = tuple(int(factor[1:]) for factor in tag.split("x"))
+    assert (v.dim, len(v.generators), v.h0_oracle) == (sum(dims), len(dims), tag)
+    assert v.generators == (("H",) if len(dims) == 1 else tuple("abcd"[: len(dims)]))
+    report = validate(v)
+    assert report.passed, report.to_table()
+    back = variety_from_json(json.loads(json.dumps(variety_to_json(v))))
+    assert variety_to_json(back) == variety_to_json(v)
+    # the Kuenneth count at the polarization is the product of the factors' counts
+    assert h0_exact(v, v.polarization) == prod(k + 1 for k in dims)
 
 
 def test_h0_exact(p4, x6, a4, p1xp3, catalog):
