@@ -17,6 +17,13 @@ Binomials are always evaluated through the polynomial extension
 never the combinatorial convention C(a, b) = 0 for a < 0, so that
 evaluation at negative twists (Serre-dual points) is meaningful.
 
+The coefficient at p is (nabla_1^{p_1} ... nabla_k^{p_k} f)(0), with
+nabla_i f(t) = f(t) - f(t - e_i); ``backward_differences`` reads them all
+from f at -q for the q of a down-closed point list.  A map of total degree
+<= n needs only the C(k + n, n) points of ``simplex`` (``hrr.chi_multi``);
+``coefficients_from_oracle`` reads the grid {-n, ..., 0}^k to check an
+opaque oracle's degree.
+
 Representation:
 
     coeffs : dict mapping multi-index tuples to Fraction
@@ -29,10 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
-from math import comb
-from operator import sub
-from typing import Callable
+from functools import cache
+from itertools import chain, combinations_with_replacement, product
+from math import comb, prod
+from typing import Callable, Sequence
 
 from .errors import InputError, OracleDegreeError
 
@@ -47,16 +54,6 @@ def binomial(a: int, b: int) -> int:
         return comb(a, b)
     # C(a, b) = (-1)^b C(b - a - 1, b) for a < 0
     return (-1) ** b * comb(b - a - 1, b)
-
-
-def basis_value(point: tuple[int, ...], index: MultiIndex) -> int:
-    """Value of the basis function B_index at an integer point."""
-    value = 1
-    for t, p in zip(point, index):
-        value *= binomial(t + p - 1, p)
-        if value == 0:
-            return 0
-    return value
 
 
 @dataclass(frozen=True)
@@ -96,16 +93,10 @@ class BinBasisPoly:
         """Exact value at an integer point (length must equal the arity)."""
         if len(point) != self.arity:
             raise InputError(f"point {tuple(point)} has wrong length for arity {self.arity}")
-        pt = tuple(point)
         total = Fraction(0)
-        for index, coeff in self.coeffs.items():
-            b = basis_value(pt, index)
-            if b:
-                total += coeff * b
+        for index, coeff in self.coeffs.items():  # coeff * B_index(point)
+            total += coeff * prod(binomial(t + p - 1, p) for t, p in zip(point, index))
         return total
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs.values())
@@ -130,20 +121,6 @@ class BinBasisPoly:
             shifted[new_index] = shifted.get(new_index, Fraction(0)) + coeff
         return BinBasisPoly(self.arity, max(self.max_degree - 1, 0), shifted)
 
-    def scaled(self, factor: Fraction | int) -> "BinBasisPoly":
-        factor = Fraction(factor)
-        return BinBasisPoly(
-            self.arity, self.max_degree, {i: c * factor for i, c in self.coeffs.items()}
-        )
-
-    def plus(self, other: "BinBasisPoly") -> "BinBasisPoly":
-        if other.arity != self.arity:
-            raise InputError("cannot add polynomials of different arity")
-        merged = dict(self.coeffs)
-        for index, coeff in other.coeffs.items():
-            merged[index] = merged.get(index, Fraction(0)) + coeff
-        return BinBasisPoly(self.arity, max(self.max_degree, other.max_degree), merged)
-
     def to_json_dict(self) -> dict:
         """Report-file form: coefficients as [multi-index, numerator, denominator]."""
         entries = [
@@ -153,17 +130,57 @@ class BinBasisPoly:
         return {"arity": self.arity, "max_degree": self.max_degree, "coeffs": entries}
 
 
+@cache
+def _monomials(n_gens: int, degree: int) -> tuple[MultiIndex, ...]:
+    """All exponent tuples of the given total degree."""
+    return tuple(
+        tuple(combo.count(i) for i in range(n_gens))
+        for combo in combinations_with_replacement(range(n_gens), degree)
+    )
+
+
+@cache
+def simplex(arity: int, n: int) -> tuple[MultiIndex, ...]:
+    """The C(arity + n, n) points q >= 0 with |q| <= n, degree by degree in ``_monomials`` order."""
+    return tuple(chain.from_iterable(_monomials(arity, d) for d in range(n + 1)))
+
+
+@cache
+def _steps(points: tuple[MultiIndex, ...]) -> tuple[tuple[int, int], ...]:
+    """The difference triangle on a down-closed point list, as (target, source) index pairs.
+
+    Along each axis i, round r = 0, 1, ... sets a[q] <- a[q - e_i] - a[q] at every q with
+    q_i > r, largest q_i first, so that a[q - e_i] still holds the previous round's value.
+    """
+    where = {q: j for j, q in enumerate(points)}
+    steps: list[tuple[int, int]] = []
+    for i in range(len(points[0])):
+        column = sorted(points, key=lambda q: -q[i])
+        for r in range(column[0][i]):
+            moving = [q for q in column if q[i] > r]
+            steps += [(where[q], where[(*q[:i], q[i] - 1, *q[i + 1 :])]) for q in moving]
+    return tuple(steps)
+
+
+def backward_differences(points: tuple[MultiIndex, ...], values: Sequence) -> list:
+    """(nabla^q f)(0) for each q of a down-closed point list, from values[j] = f(-points[j])."""
+    a = list(values)  # exact, in the caller's own numbers: ints stay ints
+    for target, source in _steps(points):
+        a[target] = a[source] - a[target]
+    return a
+
+
 def coefficients_from_oracle(
     f: Callable[..., int | Fraction], arity: int, max_degree: int
 ) -> BinBasisPoly:
     """Expand an integer-point oracle over the binomial basis.
 
-    The coefficient at (p_1, ..., p_k) is the iterated backward difference
-    (nabla_1^{p_1} ... nabla_k^{p_k} f)(0, ..., 0), with
-    nabla_i f(t) = f(t) - f(t - e_i), computed from the oracle's values on
-    the grid {-n, ..., 0}^k (exactly (n+1)^k calls, n being the degree
-    bound).  Newton interpolation on that grid is unisolvent for
-    coordinate degree <= n, so the oracle fails to be a polynomial of
+    The coefficients are the ``backward_differences`` of the oracle's
+    values on the grid {-n, ..., 0}^k (exactly (n+1)^k calls, n being the
+    degree bound).  A map known to have total degree <= n would need only
+    the ``simplex``; the grid is read because the oracle is opaque and its
+    degree must be checked.  Newton interpolation on the grid is unisolvent
+    for coordinate degree <= n, so the oracle fails to be a polynomial of
     total degree <= n on the grid precisely when some coefficient with
     total degree > n is non-zero; such inputs are rejected.
     """
@@ -172,27 +189,16 @@ def coefficients_from_oracle(
     if max_degree < 0:
         raise InputError(f"max_degree must be non-negative, got {max_degree}")
     n = max_degree
+    points = tuple(product(range(n + 1), repeat=arity))
     # Oracle values stay in native int/Fraction arithmetic; both are exact.
-    values = [f(*point) for point in product(range(0, -n - 1, -1), repeat=arity)]
-    # Along each axis in turn, the last (stride 1) first: its entries are cut
-    # into rows a[0], ..., a[n], and round r turns each row a[p], p > r, into
-    # a[p - 1] - a[p], so row p ends holding the p-th backward difference.
-    # Joined, the rows put that axis first; after k passes the order is back.
-    for _ in range(arity):
-        rows = [values[p :: n + 1] for p in range(n + 1)]
-        for r in range(n):
-            for p in range(n, r, -1):
-                rows[p] = list(map(sub, rows[p - 1], rows[p]))
-        values = list(chain.from_iterable(rows))
+    values = [f(*t) for t in product(range(0, -n - 1, -1), repeat=arity)]  # t = -points[j]
+    values = backward_differences(points, values)
 
-    coeffs: dict[MultiIndex, Fraction] = {}
-    for index, value in zip(product(range(n + 1), repeat=arity), values):
-        if value == 0:
-            continue
+    coeffs = {index: Fraction(value) for index, value in zip(points, values) if value}
+    for index in coeffs:
         if sum(index) > n:
             raise OracleDegreeError(
                 f"oracle not polynomial of declared degree {n}: "
                 f"non-zero coefficient at {index}"
             )
-        coeffs[index] = Fraction(value)
     return BinBasisPoly(arity, n, coeffs)

@@ -1,9 +1,9 @@
 """Command-line surface.
 
 Subcommands: ``chi``, ``genus``, ``verify``, ``semigroup``, ``classify``,
-``bounds``.  Varieties come either from the built-in catalog
-(``--variety catalog:X6``) or from a JSON description file
-(``--variety path/to/file.json``).  Divisors are written as comma-free
+``bounds``.  Varieties come either from the built-in catalog, by name or
+oracle tag (``--variety catalog:X6``, ``catalog:p1xp1xp2``), or from a JSON
+file (``--variety path/to/file.json``).  Divisors are written as comma-free
 signed terms over the generator names: ``2a+1b``, ``-1H``, ``-H``, ``0H``;
 one that starts with ``-`` may follow its flag as a separate word
 (``--divisor -H``) or after ``=`` (``--divisor=-H``).
@@ -27,16 +27,19 @@ from . import adjoint, genus, hrr, semigroup, suites
 from .classify import classify_variety
 from .errors import AbstainError, InputError, SecgenusError
 from .report import VerificationReport
-from .variety import _INTEGER, VarietyData, load_variety
+from .variety import _INTEGER, VarietyData, catalog_build, load_variety
 
 
 def resolve_variety(spec: str) -> VarietyData:
     if spec.startswith("catalog:"):
         name = spec.split(":", 1)[1]
         catalog = suites.get_catalog()
-        if name not in catalog:
-            raise InputError(f"unknown catalog entry {name!r}; have {sorted(catalog)}")
-        return catalog[name]
+        if name in catalog:
+            return catalog[name]
+        try:
+            return catalog_build(name)
+        except InputError as exc:
+            raise InputError(f"unknown catalog entry {name!r}: {exc}; have {sorted(catalog)}")
     return load_variety(spec)
 
 

@@ -21,7 +21,7 @@ k = n - i bundles (Stanley, Enumerative Combinatorics I, 1.9) it is
     chi_{1,...,1} = sum over subsets S of {1..k} of (-1)^|S| chi(-sum_{j in S} L_j):
 
 2^k evaluations of chi (at most 16 on a 4-fold), where the full expansion
-interpolates (n+1)^k points.  With no bundles (i = n) it is chi(O).
+(``hrr.chi_multi``) reads C(k + n, n) points.  With no bundles (i = n) it is chi(O).
 
 The same 2^k values give chi^H of every sub-list at once.
 ``chi_H_table`` evaluates chi once at each subset sum and then runs one

@@ -11,9 +11,10 @@ form (``VarietyData.chi_polynomial``; ``variety._compile`` says how).
 ``chi_divisor`` evaluates it by Horner's rule in integers and divides
 once: a remainder is a model inconsistency, not a rounding situation.
 ``chi_multi`` reads the binomial-basis expansion of
-t -> chi(t_1 D_1 + ... + t_k D_k) from the scaled integer values of that
-form on the grid {-n, ..., 0}^k (``binpoly.coefficients_from_oracle``)
-and tests each coefficient for divisibility by the denominator.  The
+t -> chi(t_1 D_1 + ... + t_k D_k), a map of total degree <= n, from the
+scaled integer values of that form at the C(k + n, n) points t = -q of
+the simplex (``binpoly.simplex``, ``binpoly.backward_differences``) and
+tests each coefficient for divisibility by the denominator.  The
 coefficients are integers exactly when that map is integer-valued on
 Z^k, so a model whose chi is not integer-valued fails there, where a
 pointwise evaluation on a grid could only raise.
@@ -29,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .binpoly import BinBasisPoly, coefficients_from_oracle
+from .binpoly import BinBasisPoly, backward_differences, simplex
 from .errors import AbstainError, InputError, ModelError
 from .variety import DivisorClass, VarietyData, _check_length, _horner, h0_exact
 
@@ -61,16 +62,13 @@ def chi_multi(v: VarietyData, bundles: list[DivisorClass]) -> BinBasisPoly:
     _check_length(v, *bundles)
     chi = v.chi_polynomial
     columns = list(zip(*(b.coeffs for b in bundles)))  # generator j -> (D_1[j], ..., D_k[j])
-
-    def scaled(*t: int) -> int:  # chi.denom * chi(t_1 D_1 + ... + t_k D_k)
-        return _horner(chi.horner, tuple([sum(map(mul, t, column)) for column in columns]))
-
-    coeffs = coefficients_from_oracle(scaled, k, v.dim).coeffs
-    expansion = {p: c / chi.denom for p, c in coeffs.items()}
-    if any(c.denominator != 1 for c in expansion.values()):
-        shown = dict(sorted(expansion.items()))
-        raise ModelError(f"chi expansion on {v.name} has non-integer coefficients: {shown}")
-    return BinBasisPoly(k, v.dim, expansion)
+    points = simplex(k, v.dim)  # at q: chi.denom * chi(-q_1 D_1 - ... - q_k D_k)
+    values = [_horner(chi.horner, tuple([-sum(map(mul, q, c)) for c in columns])) for q in points]
+    scaled = backward_differences(points, values)
+    if any(c % chi.denom for c in scaled):
+        shown = sorted((p, Fraction(c, chi.denom)) for p, c in zip(points, scaled) if c)
+        raise ModelError(f"chi expansion on {v.name} has non-integer coefficients: {dict(shown)}")
+    return BinBasisPoly(k, v.dim, {p: c // chi.denom for p, c in zip(points, scaled) if c})
 
 
 def _vanishing_count(v: VarietyData, d: DivisorClass) -> int:

@@ -12,6 +12,7 @@ entries.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
@@ -29,7 +30,8 @@ class SemigroupSet:
     bound: int
 
     def __contains__(self, value: int) -> bool:
-        return value in set(self.members)
+        i = bisect_left(self.members, value)
+        return i < len(self.members) and self.members[i] == value
 
     def min(self) -> int:
         return self.members[0]

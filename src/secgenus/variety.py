@@ -37,11 +37,12 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import comb, factorial, prod
 from operator import add, neg, sub
 from pathlib import Path
 
+from .binpoly import _monomials, simplex
 from .errors import AbstainError, InputError, ModelError
 from .report import VerificationReport
 
@@ -226,15 +227,6 @@ def format_divisor(d: DivisorClass, generators: tuple[str, ...]) -> str:
 
 
 @cache
-def _monomials(n_gens: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent tuples of the given total degree."""
-    return tuple(
-        tuple(combo.count(i) for i in range(n_gens))
-        for combo in combinations_with_replacement(range(n_gens), degree)
-    )
-
-
-@cache
 def _multinomial(e: tuple[int, ...]) -> int:
     """|e|! / prod e_i!, the number of orderings of the monomial x^e."""
     return factorial(sum(e)) // prod(map(factorial, e))
@@ -342,10 +334,9 @@ def _non_integer_point(v: VarietyData) -> tuple[int, ...] | None:
     exactly when it is an integer at these C(g + n, n) points.
     """
     chi = v.chi_polynomial
-    for k in range(v.dim + 1):
-        for e in _monomials(len(v.generators), k):
-            if _horner(chi.horner, e) % chi.denom:
-                return e
+    for e in simplex(len(v.generators), v.dim):
+        if _horner(chi.horner, e) % chi.denom:
+            return e
     return None
 
 

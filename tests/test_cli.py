@@ -285,6 +285,22 @@ def test_unknown_catalog_entry(capsys):
     assert "unknown catalog entry" in err
 
 
+def test_catalog_accepts_every_buildable_tag(capsys):
+    code, out, err = run(
+        capsys, "--format", "json", "chi", "--variety", "catalog:p1xp1xp2", "--divisor", "1a+1b+1c"
+    )
+    assert code == 0, err
+    assert json.loads(out)["checks"][0]["actual"] == "12"  # 2 * 2 * 3 sections, by Kunneth
+    for spec, reason in (
+        ("catalog:nosuch", "unknown oracle tag 'nosuch'"),
+        ("catalog:abelian", "abelian needs L^4"),  # the catalog's A4 has a name of its own
+    ):
+        code, out, err = run(capsys, "chi", "--variety", spec, "--divisor", "1H")
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: unknown catalog entry") and reason in err
+        assert "Traceback" not in err
+
+
 def test_failed_report_exits_one(capsys):
     import argparse
 

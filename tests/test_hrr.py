@@ -3,10 +3,11 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 
+from secgenus import hrr
 from secgenus.binpoly import coefficients_from_oracle
 from secgenus.errors import AbstainError, InputError, ModelError
 from secgenus.genus import g1_closed
@@ -132,6 +133,24 @@ def test_chi_multi_arity_bounds(x6):
         chi_multi(x6, [])
     with pytest.raises(InputError):
         chi_multi(x6, [x6.divisor("1H")] * 5)
+
+
+def test_chi_multi_reads_chi_at_the_simplex_points_only(catalog, monkeypatch):
+    # t -> chi(sum t_i D_i) has total degree <= n, so C(k + n, n) values fix its
+    # expansion: 70 at k = n = 4, not the (n + 1)^k = 625 of the grid {-n..0}^k
+    calls = []
+
+    def counted(form, x, i=0):
+        calls.append(x)
+        return _horner(form, x, i)
+
+    monkeypatch.setattr(hrr, "_horner", counted)
+    for name in ("X6", "P2xP2", "P1xP3"):
+        v = catalog[name]
+        for k in range(1, v.dim + 1):
+            calls.clear()
+            chi_multi(v, [v.polarization] * k)
+            assert len(calls) == comb(k + v.dim, v.dim), (name, k)
 
 
 def test_serre_duality_symmetry(catalog):

@@ -81,6 +81,15 @@ def test_closure_idempotent_monotone_closed(gens, bound, extra):
     assert members <= set(bigger.members)
 
 
+def test_membership_agrees_with_a_plain_set():
+    for gens, bound in (({4, 5}, 60), ({6, 10, 15}, 100)):
+        s = closure(gens, bound)
+        members = set(s.members)
+        assert [v in s for v in range(-1, bound + 3)] == [
+            v in members for v in range(-1, bound + 3)
+        ]
+
+
 def test_guaranteed_threshold_examples():
     assert guaranteed_threshold({4, 5}) == 12
     assert guaranteed_threshold({3, 4}) == 6

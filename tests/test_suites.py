@@ -74,7 +74,7 @@ def test_integrality_and_closed_and_serre():
 
 def test_integrality_suite_interpolates_nothing(monkeypatch):
     # the lattice rule decides every expansion of a consistent catalog, so no
-    # oracle grid is built, not even through chi_multi
+    # oracle grid is built
     original = binpoly.coefficients_from_oracle
     calls = []
 
