@@ -23,17 +23,10 @@ from .adjoint import (
     multiple_lower_bound,
 )
 from .binpoly import BinBasisPoly, binomial, coefficients_from_oracle
-from .classify import (
-    AdjunctionLabel,
-    DeclaredInvariants,
-    classify,
-    classify_variety,
-    invariants_from_variety,
-    validate_invariants,
-)
+from .classify import AdjunctionLabel, classify, classify_variety, validate_invariants
 from .errors import AbstainError, InputError, ModelError, OracleDegreeError, SecgenusError
 from .genus import additivity_residual, chi_H_i, g1_closed, g2_adjoint_closed, g_i
-from .hrr import chi_divisor, chi_multi, h0_certified, h0_via_vanishing
+from .hrr import chi_divisor, chi_multi, h0_certified
 from .report import Check, VerificationReport
 from .semigroup import (
     SemigroupSet,

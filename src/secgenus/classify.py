@@ -7,8 +7,9 @@ reductions, the Mukai case, and the higher fibration/big-adjoint types),
 and for 4-folds the declared kappa(K + L) refines the picture into the
 two terminal branches (a second-reduction chain with nef value at most
 one, or the explicit low-Kodaira list).  Nothing geometric is ever
-computed: declarations in, labels out, with hard consistency checks
-between the declarations and any declared fine type.
+computed: a model's ``variety.AdjointDeclaration`` for L and the
+dimension n in, labels out, with hard consistency checks between the
+declarations and any declared fine type.
 
 Fine types use the standard numbering as opaque strings: "1" through
 "7.9" for the main list, and dotted "4.x" strings for the terminal
@@ -17,11 +18,11 @@ low-Kodaira sublist, which this toolkit does not interpret further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AbstainError, InputError
 from .report import VerificationReport
-from .variety import NEG_INF, DivisorClass, VarietyData
+from .variety import NEG_INF, AdjointDeclaration, DivisorClass, VarietyData
 
 GROUP_LOW = ("1", "2", "3", "4", "5", "6", "7.1", "7.2", "7.3", "7.4")
 GROUP_MUKAI = ("7.5",)
@@ -30,15 +31,6 @@ TH2_LOW_LIST = ("1", "2", "3", "4", "5", "6", "7.1", "7.5", "7.6", "7.7", "7.8")
 
 GROUP_LOW_LABEL = "1-7.4"
 GROUP_HIGH_LABEL = "7.6-7.9"
-
-
-@dataclass(frozen=True)
-class DeclaredInvariants:
-    """Declared kappa(K + a L) values by twist a, plus an optional fine type."""
-
-    n: int
-    kappa: dict[int, "int | float | None"] = field(default_factory=dict)
-    fine_type: str | None = None
 
 
 @dataclass(frozen=True)
@@ -60,34 +52,33 @@ class AdjunctionLabel:
         return self.group
 
 
-def _invariant_rules(inv: DeclaredInvariants) -> list[tuple]:
+def _invariant_rules(decl: AdjointDeclaration, n: int) -> list[tuple]:
     """Range and monotonicity rules on the declarations, as (name, passed, expected, actual).
 
     Below dimension 3 only the dimension rule is listed.
     """
-    if inv.n < 3:
-        return [("dimension >= 3", False, ">= 3", inv.n)]
-    rules = [("dimension >= 3", True, ">= 3", inv.n)]
-    for a, value in sorted(inv.kappa.items()):
+    if n < 3:
+        return [("dimension >= 3", False, ">= 3", n)]
+    rules = [("dimension >= 3", True, ">= 3", n)]
+    for a, value in sorted(decl.kappa.items()):
         if value is None:
             continue
-        in_range = value == NEG_INF or (isinstance(value, int) and 0 <= value <= inv.n)
-        rules.append((f"kappa(K+{a}L) in range", in_range, f"-inf or 0..{inv.n}", value))
-    declared = sorted((a, k) for a, k in inv.kappa.items() if k is not None)
+        in_range = value == NEG_INF or (isinstance(value, int) and 0 <= value <= n)
+        rules.append((f"kappa(K+{a}L) in range", in_range, f"-inf or 0..{n}", value))
+    declared = sorted((a, k) for a, k in decl.kappa.items() if k is not None)
     for (a1, k1), (a2, k2) in zip(declared, declared[1:]):
         rules.append((f"monotone kappa(K+{a1}L) <= kappa(K+{a2}L)", k1 <= k2, f"<= {k2}", k1))
-    if inv.fine_type is not None:
-        known = inv.fine_type in GROUP_LOW + GROUP_MUKAI + GROUP_HIGH or inv.fine_type.startswith(
-            "4."
-        )
-        rules.append(("fine type known", known, "a listed type", inv.fine_type))
+    fine = decl.fine_type
+    if fine is not None:
+        known = fine in GROUP_LOW + GROUP_MUKAI + GROUP_HIGH or fine.startswith("4.")
+        rules.append(("fine type known", known, "a listed type", fine))
     return rules
 
 
-def validate_invariants(inv: DeclaredInvariants) -> VerificationReport:
-    """Range and monotonicity checks on the declarations, one row per rule."""
+def validate_invariants(decl: AdjointDeclaration, n: int) -> VerificationReport:
+    """Range and monotonicity checks on the declarations in dimension n, one row per rule."""
     report = VerificationReport(title="declared-invariants")
-    for name, passed, expected, actual in _invariant_rules(inv):
+    for name, passed, expected, actual in _invariant_rules(decl, n):
         report.add(name, passed, expected=expected, actual=actual)
     return report
 
@@ -100,30 +91,30 @@ def _group_of(kappa_sub: "int | float") -> str:
     return GROUP_HIGH_LABEL
 
 
-def classify(inv: DeclaredInvariants) -> AdjunctionLabel:
-    """Coarsest label the declarations determine; exact only when declared.
+def classify(decl: AdjointDeclaration, n: int) -> AdjunctionLabel:
+    """Coarsest label the declarations determine in dimension n; exact only when declared.
 
     Declarations that break a rule of ``validate_invariants`` raise an
     InputError naming every broken rule, read from the rules without a report.
     """
-    failed = [name for name, passed, _, _ in _invariant_rules(inv) if not passed]
+    failed = [name for name, passed, _, _ in _invariant_rules(decl, n) if not passed]
     if failed:
         raise InputError(f"invalid declared invariants: {'; '.join(failed)}")
-    n = inv.n
-    kappa_sub = inv.kappa.get(n - 2)
+    kappa_sub = decl.kappa.get(n - 2)
     if kappa_sub is None:
         raise AbstainError(f"kappa(K+{n - 2}L) is undeclared; the three-way split needs it")
     group = _group_of(kappa_sub)
 
+    fine = decl.fine_type
     th2 = None
     if n == 4:
-        kappa_low = inv.kappa.get(1)
+        kappa_low = decl.kappa.get(1)
         if kappa_low is not None:
             if kappa_low >= 0:
                 th2 = "TH2-1"
-            elif inv.fine_type is not None and inv.fine_type.startswith("4."):
+            elif fine is not None and fine.startswith("4."):
                 th2 = "TH2-2.2"
-            elif inv.fine_type is not None and inv.fine_type in TH2_LOW_LIST:
+            elif fine is not None and fine in TH2_LOW_LIST:
                 th2 = "TH2-2.1"
             else:
                 th2 = "TH2-2"
@@ -133,22 +124,22 @@ def classify(inv: DeclaredInvariants) -> AdjunctionLabel:
     if group == "7.5":
         exact = "7.5"
         certainty = "exact"
-    if inv.fine_type is not None:
-        _check_fine_consistency(inv.fine_type, group, inv)
-        exact = inv.fine_type
+    if fine is not None:
+        _check_fine_consistency(fine, group, decl, n)
+        exact = fine
         certainty = "exact"
     return AdjunctionLabel(group=group, exact=exact, th2=th2, certainty=certainty)
 
 
-def _check_fine_consistency(fine: str, group: str, inv: DeclaredInvariants) -> None:
+def _check_fine_consistency(fine: str, group: str, decl: AdjointDeclaration, n: int) -> None:
     if fine.startswith("4."):
         if group != GROUP_HIGH_LABEL:
             raise InputError(
-                f"terminal type {fine!r} needs kappa(K+{inv.n - 2}L) >= 1, "
+                f"terminal type {fine!r} needs kappa(K+{n - 2}L) >= 1, "
                 f"but declarations give group {group}"
             )
-        kappa_low = inv.kappa.get(1)
-        if inv.n == 4 and kappa_low is not None and kappa_low != NEG_INF:
+        kappa_low = decl.kappa.get(1)
+        if n == 4 and kappa_low is not None and kappa_low != NEG_INF:
             raise InputError(f"terminal type {fine!r} needs kappa(K+L) = -inf")
         return
     expected_group = (
@@ -161,13 +152,6 @@ def _check_fine_consistency(fine: str, group: str, inv: DeclaredInvariants) -> N
         )
 
 
-def invariants_from_variety(v: VarietyData, ell: DivisorClass) -> DeclaredInvariants:
-    """Assemble the declared invariants a catalog entry carries for L."""
-    decl = v.declaration_for(ell)
-    if decl is None:
-        return DeclaredInvariants(n=v.dim, kappa={})
-    return DeclaredInvariants(n=v.dim, kappa=dict(decl.kappa), fine_type=decl.fine_type)
-
-
 def classify_variety(v: VarietyData, ell: DivisorClass) -> AdjunctionLabel:
-    return classify(invariants_from_variety(v, ell))
+    """Label from the model's declaration for L; an undeclared L classifies as declaring nothing."""
+    return classify(v.declaration_for(ell) or AdjointDeclaration({}), v.dim)

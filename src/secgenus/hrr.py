@@ -19,10 +19,10 @@ coefficients are integers exactly when that map is integer-valued on
 Z^k, so a model whose chi is not integer-valued fails there, where a
 pointwise evaluation on a grid could only raise.
 
-``h0_via_vanishing`` turns chi into a certified section count under the
-one vanishing rule this toolkit trusts: D - K_X nef and big (the
-Kawamata-Viehweg regime).  Anything outside that rule must come from a
-family oracle or be abstained from.
+``h0_certified`` is the one function that turns a class into a certified
+section count.  It decides the route: chi(D) under the one vanishing rule
+this toolkit trusts, D - K_X nef and big (the Kawamata-Viehweg regime),
+else the family oracle ``h0_exact``, which abstains where it has no rule.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import mul
 
 from .binpoly import BinBasisPoly, backward_differences, simplex
-from .errors import AbstainError, InputError, ModelError
+from .errors import InputError, ModelError
 from .variety import DivisorClass, VarietyData, _check_length, _horner, h0_exact
 
 
@@ -71,33 +71,17 @@ def chi_multi(v: VarietyData, bundles: list[DivisorClass]) -> BinBasisPoly:
     return BinBasisPoly(k, v.dim, {p: c // chi.denom for p, c in zip(points, scaled) if c})
 
 
-def _vanishing_count(v: VarietyData, d: DivisorClass) -> int:
-    """chi(D) as h^0(D) once D - K_X is known nef and big; a negative count is a model error."""
+def h0_certified(v: VarietyData, d: DivisorClass) -> tuple[int, str]:
+    """Certified h^0(D) with its route: chi(D) when D - K_X is nef and big, else the oracle.
+
+    A negative chi on the vanishing route is a model error; where neither
+    route applies, ``h0_exact`` raises the AbstainError.
+    """
+    if not v.is_nef_and_big(d - v.canonical):
+        return h0_exact(v, d), "family-oracle"
     value = chi_divisor(v, d)
     if value < 0:
         raise ModelError(
             f"certified h^0({v.divisor_string(d)}) on {v.name} came out negative ({value})"
         )
-    return value
-
-
-def h0_via_vanishing(v: VarietyData, d: DivisorClass) -> int:
-    """h^0(D) = chi(D), certified by D - K_X nef and big; else abstain."""
-    if not v.is_nef_and_big(d - v.canonical):
-        raise AbstainError(
-            f"vanishing not certifiable for {v.divisor_string(d)} on {v.name}: "
-            "D - K_X is not nef and big"
-        )
-    return _vanishing_count(v, d)
-
-
-def h0_certified(v: VarietyData, d: DivisorClass) -> tuple[int, str]:
-    """Best certified section count: vanishing rule first, family oracle second.
-
-    Returns the count together with the certification route used: chi(D)
-    when D - K_X is nef and big (the count step ``h0_via_vanishing`` uses),
-    else the family oracle.  Raises AbstainError when neither route applies.
-    """
-    if v.is_nef_and_big(d - v.canonical):
-        return _vanishing_count(v, d), "kawamata-viehweg"
-    return h0_exact(v, d), "family-oracle"
+    return value, "kawamata-viehweg"

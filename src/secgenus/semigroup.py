@@ -7,7 +7,9 @@ numerical-semigroup question.  This module provides the additive closure
 up to a cutoff, the coprime-pair coin solver with its classical
 (p-1)(q-1) threshold, the guaranteed all-members-beyond threshold of a
 generating set, and the empirical minimum over a list of polarized
-entries.
+entries, whose counts come from ``hrr.h0_certified`` alone.  A closure may
+be empty (no generator within the bound); membership bisects the sorted
+members.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-from .errors import AbstainError, InputError
+from .errors import InputError
 from .hrr import h0_certified
 from .variety import DivisorClass, VarietyData
 
@@ -32,9 +34,6 @@ class SemigroupSet:
     def __contains__(self, value: int) -> bool:
         i = bisect_left(self.members, value)
         return i < len(self.members) and self.members[i] == value
-
-    def min(self) -> int:
-        return self.members[0]
 
 
 def coin_solve(p: int, q: int, l: int) -> tuple[int, int]:
@@ -98,30 +97,22 @@ def guaranteed_threshold(generators: Iterable[int]) -> int | None:
     if gcd(*gens) > 1:
         return None
     bound = (gens[0] - 1) * (gens[-1] - 1)
-    members = set(closure(gens, max(bound, 1)).members)
-    return 1 + max((m for m in range(1, bound) if m not in members), default=0)
+    closed = closure(gens, max(bound, 1))
+    return 1 + max((m for m in range(1, bound) if m not in closed), default=0)
 
 
 def empirical_min_r(entries: list[tuple[VarietyData, DivisorClass]], r_max: int) -> int | None:
     """Least r <= r_max with h^0(r(K+L)) > 0 for every entry; None if absent.
 
-    Counts come from the certified route; an entry whose count cannot be
-    certified raises an abstention.
+    Counts come from ``h0_certified``; an entry whose count it cannot certify
+    raises its AbstainError unchanged (the oracle's text names the model).
     """
     if not entries:
         raise InputError("entry list must be nonempty")
     for v, ell in entries:
         if not v.is_nef(v.canonical + ell):
             raise InputError(f"K + L not nef on {v.name} for L = {v.divisor_string(ell)}")
-
-    def count(v: VarietyData, d: DivisorClass) -> int:
-        try:
-            value, _ = h0_certified(v, d)
-        except AbstainError as exc:
-            raise AbstainError(f"{v.name}: {exc}") from exc
-        return value
-
     for r in range(1, r_max + 1):
-        if all(count(v, r * (v.canonical + ell)) > 0 for v, ell in entries):
+        if all(h0_certified(v, r * (v.canonical + ell))[0] > 0 for v, ell in entries):
             return r
     return None

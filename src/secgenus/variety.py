@@ -80,9 +80,9 @@ class DivisorClass:
 
 @dataclass(frozen=True)
 class AdjointDeclaration:
-    """Declared data for one polarization L: kappa(K + a L) by twist a."""
+    """Declared data for one polarization L: kappa(K + a L) by twist a (None: undeclared)."""
 
-    kappa: dict[int, "int | float"]
+    kappa: dict[int, "int | float | None"]
     fine_type: str | None = None
 
 

@@ -1,92 +1,76 @@
 import pytest
 
-from secgenus.classify import (
-    AdjunctionLabel,
-    DeclaredInvariants,
-    classify,
-    classify_variety,
-    invariants_from_variety,
-    validate_invariants,
-)
+from secgenus.classify import AdjunctionLabel, classify, classify_variety, validate_invariants
 from secgenus.errors import AbstainError, InputError
-from secgenus.variety import NEG_INF
+from secgenus.variety import NEG_INF, AdjointDeclaration
 
 
 def test_validate_monotonicity_violation():
-    inv = DeclaredInvariants(n=4, kappa={3: NEG_INF, 2: 0})
-    report = validate_invariants(inv)
+    report = validate_invariants(AdjointDeclaration({3: NEG_INF, 2: 0}), 4)
     assert not report.passed  # kappa(K+2L) <= kappa(K+3L) is broken
 
 
 def test_validate_all_big():
-    inv = DeclaredInvariants(n=4, kappa={1: 4, 2: 4, 3: 4})
-    assert validate_invariants(inv).passed
+    assert validate_invariants(AdjointDeclaration({1: 4, 2: 4, 3: 4}), 4).passed
 
 
 def test_validate_range():
-    inv = DeclaredInvariants(n=4, kappa={1: 5})
-    assert not validate_invariants(inv).passed
+    decl = AdjointDeclaration({1: 5})
+    assert not validate_invariants(decl, 4).passed
     with pytest.raises(InputError):
-        classify(inv)
+        classify(decl, 4)
 
 
 def test_classify_low_group_and_refinement():
-    base = DeclaredInvariants(n=4, kappa={1: NEG_INF, 2: NEG_INF, 3: NEG_INF})
-    label = classify(base)
+    base = AdjointDeclaration({1: NEG_INF, 2: NEG_INF, 3: NEG_INF})
+    label = classify(base, 4)
     assert label.group == "1-7.4"
     assert label.certainty == "coarse-group"
     assert label.to_string() == "1-7.4"
-    fine = DeclaredInvariants(n=4, kappa=dict(base.kappa), fine_type="1")
-    label = classify(fine)
+    label = classify(AdjointDeclaration(dict(base.kappa), "1"), 4)
     assert label.exact == "1" and label.to_string() == "1" and label.certainty == "exact"
 
 
 def test_classify_mukai():
-    inv = DeclaredInvariants(n=4, kappa={1: NEG_INF, 2: 0, 3: 4})
-    label = classify(inv)
+    label = classify(AdjointDeclaration({1: NEG_INF, 2: 0, 3: 4}), 4)
     assert label.to_string() == "7.5" and label.certainty == "exact"
 
 
 def test_classify_high_group_with_th2():
-    inv = DeclaredInvariants(n=4, kappa={1: 4, 2: 4, 3: 4})
-    label = classify(inv)
+    label = classify(AdjointDeclaration({1: 4, 2: 4, 3: 4}), 4)
     assert label.group == "7.6-7.9"
     assert label.th2 == "TH2-1"
     assert label.to_string() == "TH2-1"
 
 
 def test_classify_th2_negative_branch():
-    inv = DeclaredInvariants(n=4, kappa={1: NEG_INF, 2: 2})
-    label = classify(inv)
+    label = classify(AdjointDeclaration({1: NEG_INF, 2: 2}), 4)
     assert label.th2 == "TH2-2"
     assert label.to_string() == "TH2-2"
-    terminal = DeclaredInvariants(n=4, kappa={1: NEG_INF, 2: 4}, fine_type="4.6.1")
-    label = classify(terminal)
+    label = classify(AdjointDeclaration({1: NEG_INF, 2: 4}, "4.6.1"), 4)
     assert label.th2 == "TH2-2.2"
     assert label.exact == "4.6.1"
 
 
 def test_classify_th2_low_list_branch():
-    inv = DeclaredInvariants(n=4, kappa={1: NEG_INF, 2: 2}, fine_type="7.7")
-    label = classify(inv)
+    label = classify(AdjointDeclaration({1: NEG_INF, 2: 2}, "7.7"), 4)
     assert label.th2 == "TH2-2.1"
 
 
 def test_classify_abstains_without_kappa():
     with pytest.raises(AbstainError):
-        classify(DeclaredInvariants(n=4, kappa={}))
+        classify(AdjointDeclaration({}), 4)
 
 
 def test_classify_fine_type_consistency():
     with pytest.raises(InputError):
-        classify(DeclaredInvariants(n=4, kappa={2: 4}, fine_type="1"))
+        classify(AdjointDeclaration({2: 4}, "1"), 4)
     with pytest.raises(InputError):
-        classify(DeclaredInvariants(n=4, kappa={1: 0, 2: 4}, fine_type="4.7"))
+        classify(AdjointDeclaration({1: 0, 2: 4}, "4.7"), 4)
 
 
 def test_classify_dimension_three():
-    inv = DeclaredInvariants(n=3, kappa={1: NEG_INF})
-    label = classify(inv)
+    label = classify(AdjointDeclaration({1: NEG_INF}), 3)
     assert label.group == "1-7.4" and label.th2 is None
 
 
@@ -127,13 +111,8 @@ def test_ray_surrogate_matches_declared_labels(catalog):
         declared = v.declaration_for(v.polarization).kappa
         assert declared == surrogate, name
         # and the label computed from the surrogate matches the declared route
-        by_surrogate = classify(
-            DeclaredInvariants(
-                n=v.dim,
-                kappa=surrogate,
-                fine_type=v.declaration_for(v.polarization).fine_type,
-            )
-        )
+        fine = v.declaration_for(v.polarization).fine_type
+        by_surrogate = classify(AdjointDeclaration(surrogate, fine), v.dim)
         assert by_surrogate.to_string() == classify_variety(v, v.polarization).to_string()
 
 
@@ -158,11 +137,11 @@ def test_classify_reads_the_rules_validate_invariants_reports(monkeypatch):
     for n in (2, 3, 4):
         values = (None, NEG_INF, 0, 2, n, n + 1)
         for kappas, fine in product(product(values, repeat=3), (None, "1", "7.5", "4.2", "9")):
-            inv = DeclaredInvariants(n=n, kappa=dict(zip((1, 2, 3), kappas)), fine_type=fine)
-            failed = "; ".join(c.name for c in validate_invariants(inv).failures)
+            decl = AdjointDeclaration(dict(zip((1, 2, 3), kappas)), fine)
+            failed = "; ".join(c.name for c in validate_invariants(decl, n).failures)
             before = len(rows)
             try:
-                outcome = classify(inv)
+                outcome = classify(decl, n)
             except (AbstainError, InputError) as exc:
                 outcome = exc
             assert len(rows) == before  # classify builds no report

@@ -219,6 +219,17 @@ def test_semigroup_threshold(capsys):
     assert rows["minimum element"] == "4"
 
 
+def test_semigroup_empty_closure_reports_none(capsys):
+    # no generator lies within the bound: the closure is empty, not an error
+    argv = ("--format", "json", "semigroup", "--set", "20", "--bound", "10", "--threshold")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = {c["name"]: c["actual"] for c in json.loads(out)["checks"]}
+    assert rows["closure members"] == "[]"
+    assert rows["minimum element"] == "none"
+    assert rows["guaranteed threshold (all m beyond are members)"] == "none"
+
+
 def test_semigroup_coin(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "semigroup", "--set", "3,5", "--coin", "8"
@@ -253,6 +264,27 @@ def test_bounds_command(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["summary"]["failed"] == 0
+
+
+# sha256 of ``--format json bounds --variety catalog:NAME --L ...`` (m_max 6), unchanged
+# since the second-multiple row was confined to declared kappa(X) >= 0
+BOUNDS_SHA256 = {
+    "A4": "8d7f48153f2f7d733d51d62646b7684134d4e5127c53bb0634e3a2d697657179",
+    "X6": "dc5cf510364dfdd5f366bafb391b47cc0b3fb26c5759d8315f30ef3b8db3b3d3",
+    "X7": "9a25fadfaf73e8f63d8842f15f34b265798deb1138b9b3d37ac6d2df81e646df",
+}
+
+
+@pytest.mark.parametrize("name, ell", [("X5", "1H"), ("X6", "1H"), ("X7", "1H"), ("A4", "1L")])
+def test_bounds_asserts_the_second_multiple_only_under_kappa_x_nonnegative(capsys, name, ell):
+    # X5 has K + L = 0 and kappa(X) = -inf: the expression reads 0 there and is not asserted
+    argv = ("--format", "json", "bounds", "--variety", f"catalog:{name}", "--L", ell)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = [c["name"] for c in json.loads(out)["checks"]]
+    assert ("second-multiple expression >= 111/192" in rows) == (name != "X5")
+    if name in BOUNDS_SHA256:
+        assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_SHA256[name]
 
 
 def test_bounds_input_error(capsys):
@@ -358,6 +390,7 @@ def test_fine_type_must_be_a_string_or_null(capsys, tmp_path, x6):
         (("semigroup", "--set", "4_0,7"), "comma-separated integers"),
         (("semigroup", "--set", "4,,7"), "comma-separated integers"),
         (("semigroup", "--set", "4,07"), "comma-separated integers"),
+        (("semigroup", "--set", "4,5,7", "--coin", "20"), "two generators"),
     ],
 )
 def test_semigroup_usage_errors_exit_2(capsys, argv, message):

@@ -11,7 +11,7 @@ from secgenus import hrr
 from secgenus.binpoly import coefficients_from_oracle
 from secgenus.errors import AbstainError, InputError, ModelError
 from secgenus.genus import g1_closed
-from secgenus.hrr import chi_divisor, chi_multi, h0_certified, h0_via_vanishing
+from secgenus.hrr import chi_divisor, chi_multi, h0_certified
 from secgenus.suites import suite_integrality
 from secgenus.variety import (
     _TODD,
@@ -173,11 +173,18 @@ def test_chi_matches_oracle_in_vanishing_range(catalog):
             assert chi_divisor(v, d) == h0_exact(v, d), (v.name, m)
 
 
-def test_h0_via_vanishing(p4, x6):
-    assert h0_via_vanishing(p4, p4.divisor("2H")) == 15
-    assert h0_via_vanishing(x6, x6.divisor("3H")) == 56
+def test_h0_certified_counts_by_vanishing(p4, x6):
+    assert h0_certified(p4, p4.divisor("2H")) == (15, "kawamata-viehweg")
+    assert h0_certified(x6, x6.divisor("3H")) == (56, "kawamata-viehweg")
+    # -1H - K_X is not nef and big: the vanishing rule does not certify it
+    assert h0_certified(x6, x6.divisor("-1H"))[1] == "family-oracle"
+    bare = dataclasses.replace(x6, h0_oracle=None)
     with pytest.raises(AbstainError):
-        h0_via_vanishing(x6, x6.divisor("-1H"))
+        h0_certified(bare, bare.divisor("-1H"))
+    # chi(O) = 2 - 10 makes chi(1H) = -4 where the vanishing rule holds
+    broken = dataclasses.replace(x6, hodge=(1, 0, 0, 10, 1))
+    with pytest.raises(ModelError, match=r"^certified h\^0\(1H\) on X6 came out negative \(-4\)$"):
+        h0_certified(broken, broken.divisor("1H"))
 
 
 def test_h0_certified_falls_back_to_oracle(a4):
@@ -589,14 +596,18 @@ def test_compile_chi_matches_pairing_reference_on_random_tables():
     assert partial > 50
 
 
-def test_h0_certified_takes_the_route_h0_via_vanishing_decides(catalog):
+def test_h0_certified_takes_kawamata_viehweg_exactly_where_d_minus_k_is_nef_and_big(catalog):
     for v in catalog.values():
+        bare = dataclasses.replace(v, h0_oracle=None)
         for coeffs in product(range(-4, 5), repeat=len(v.generators)):
             d = DivisorClass(coeffs)
-            try:
-                want = (h0_via_vanishing(v, d), "kawamata-viehweg")
-            except AbstainError:
+            if v.is_nef_and_big(d - v.canonical):
+                want = (chi_divisor(v, d), "kawamata-viehweg")
+                assert h0_certified(bare, d) == want, (v.name, coeffs)
+            else:
                 want = (h0_exact(v, d), "family-oracle")
+                with pytest.raises(AbstainError, match=rf"^{v.name} has no exact section-count"):
+                    h0_certified(bare, d)
             assert h0_certified(v, d) == want, (v.name, coeffs)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 from math import gcd
 
@@ -180,3 +181,10 @@ def test_empirical_min_r_abstention(x6):
     entries = [(no_oracle, no_oracle.divisor("0H"))]
     with pytest.raises(AbstainError):
         empirical_min_r(entries, 3)
+
+
+def test_empirical_min_r_abstains_with_the_oracle_text(x6):
+    # h0_certified's abstention passes through unchanged; its text already names the model
+    no_oracle = dataclasses.replace(x6, h0_oracle=None)
+    with pytest.raises(AbstainError, match=r"^X6 has no exact section-count oracle$"):
+        empirical_min_r([(no_oracle, no_oracle.divisor("0H"))], 3)
