@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import AbstainError, InputError, ModelError
+from .errors import AbstainError, InputError
 from .genus import chi_H_table, genus_from_chi_H
 from .hrr import h0_certified
 from .report import VerificationReport
@@ -112,13 +112,15 @@ def jump_rhs(v: VarietyData, ell: DivisorClass, m: int) -> int:
 
 
 def multiple_lower_bound(m: int) -> int:
-    """(m-1)(m-2)(m^2 + 3m + 6)/12 + 1, exactly."""
+    """(m-1)(m-2)(m^2 + 3m + 6)/12 + 1, exactly.
+
+    The product is always divisible by 12: (m-1)(m-2) and m^2 + 3m + 6 =
+    m(m+3) + 6 are both even, and 3 divides m^2, m-1 or m-2 according to m
+    mod 3 (m^2 + 3m + 6 = m^2 mod 3), so ``//`` drops nothing.
+    """
     if m < 2:
         raise InputError(f"bound defined for m >= 2, got {m}")
-    value = Fraction((m - 1) * (m - 2) * (m * m + 3 * m + 6), 12) + 1
-    if value.denominator != 1:
-        raise ModelError(f"bound value at m={m} is not an integer: {value}")
-    return int(value)
+    return (m - 1) * (m - 2) * (m * m + 3 * m + 6) // 12 + 1
 
 
 def _add_bound(
@@ -207,8 +209,9 @@ def nonvanishing_report(v: VarietyData, ell: DivisorClass, m_max: int) -> Verifi
     kappa in {0,1,2}: all m >= 1; kappa = 3: m >= 2; kappa = 4: m >= 3.
     One ``nonvanishing[m=...]`` check per multiple up to ``m_max`` (an
     InputError when that leaves none), in a report titled ``bounds:<name>``;
-    with declared kappa(X) >= 0 the checks of ``check_multiple_bound`` are
-    appended.
+    with declared kappa(X) >= 0 the checks of ``check_multiple_bound`` and
+    one "second-multiple expression >= 111/192" row are appended, as the
+    ``bounds`` suite asserts them.
     """
     kl = v.canonical + ell
     if not v.is_nef(kl):
@@ -243,6 +246,13 @@ def nonvanishing_report(v: VarietyData, ell: DivisorClass, m_max: int) -> Verifi
         _add_bound(report, v, ell, "nonvanishing", m, count, 1, route)
     if v.kappa_x is not None and v.kappa_x >= 0:
         report.extend(check_multiple_bound(v, ell, m_max))
+        expr = second_jump_expression(v, ell)
+        report.add(
+            "second-multiple expression >= 111/192",
+            expr >= Fraction(111, 192),
+            expected=">= 111/192",
+            actual=expr,
+        )
         report.annotations.append(
             "kappa(X) >= 0: recursion bound suite included; for smooth 4-folds the "
             "smallest uniformly non-vanishing multiple is at most 6 (annotation only, "

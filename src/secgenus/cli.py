@@ -8,9 +8,11 @@ signed terms over the generator names: ``2a+1b``, ``-1H``, ``-H``, ``0H``;
 one that starts with ``-`` may follow its flag as a separate word
 (``--divisor -H``) or after ``=`` (``--divisor=-H``).
 
-Exit status: 0 all checks passed, 1 assertion failure, 2 input error,
-3 abstention under the ``fail`` abstention policy; a command that
-abstains prints a one-row report holding the abstained check.  All
+Each ``cmd_*`` returns a ``VerificationReport``; ``main`` alone writes it
+(``--format``) and maps every report to the exit status: 0 all checks
+passed, 1 assertion failure, 2 input error, 3 abstention under the
+``fail`` abstention policy.  A command that abstains yields a one-row
+report holding the abstained check.  All
 randomness is driven by a single ``--seed``; a fixed seed and
 configuration reproduce reports byte for byte.
 """
@@ -21,7 +23,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import adjoint, genus, hrr, semigroup, suites
 from .classify import classify_variety
@@ -43,51 +44,22 @@ def resolve_variety(spec: str) -> VarietyData:
     return load_variety(spec)
 
 
-def emit(report: VerificationReport, fmt: str, stream=None) -> None:
-    stream = stream or sys.stdout
-    if fmt == "json":
-        stream.write(report.to_json() + "\n")
-    elif fmt == "csv":
-        stream.write(report.to_csv())
-    else:
-        stream.write(report.to_table())
-
-
-def _finish(report: VerificationReport, args) -> int:
-    emit(report, args.format)
-    if not report.passed:
-        return 1
-    if report.abstentions and args.abstain == "fail":
-        return 3
-    return 0
-
-
-def cmd_chi(args) -> int:
+def cmd_chi(args) -> VerificationReport:
     v = resolve_variety(args.variety)
     d = v.divisor(args.divisor)
     report = VerificationReport(title="chi")
+    inputs = {"variety": v.name, "divisor": args.divisor}
     value = hrr.chi_divisor(v, d)
-    report.add(
-        f"chi({args.divisor}) on {v.name}",
-        True,
-        expected="",
-        actual=value,
-        inputs={"variety": v.name, "divisor": args.divisor},
-    )
+    report.add(f"chi({args.divisor}) on {v.name}", True, actual=value, inputs=inputs)
     if args.expand:
         poly = hrr.chi_multi(v, [d])
         coeffs = [int(poly.coefficient((p,))) for p in range(v.dim + 1)]
-        report.add(
-            f"binomial coefficients of chi(t({args.divisor}))",
-            True,
-            actual=coeffs,
-        )
+        report.add(f"binomial coefficients of chi(t({args.divisor}))", True, actual=coeffs)
         report.annotations.append(json.dumps(poly.to_json_dict(), sort_keys=True))
-    emit(report, args.format)
-    return 0
+    return report
 
 
-def cmd_genus(args) -> int:
+def cmd_genus(args) -> VerificationReport:
     v = resolve_variety(args.variety)
     bundles = [v.divisor(text) for text in args.bundle or []]
     report = VerificationReport(title="genus")
@@ -96,17 +68,15 @@ def cmd_genus(args) -> int:
     inputs = {"variety": v.name, "i": args.index, "bundles": ",".join(args.bundle or [])}
     report.add(f"g_{args.index} on {v.name}", True, actual=value, inputs=inputs)
     report.add(f"chi_{args.index}^H on {v.name}", True, actual=chi_h, inputs=inputs)
-    emit(report, args.format)
-    return 0
+    return report
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> VerificationReport:
     names = list(suites.SUITE_NAMES) if args.suite == "all" else [args.suite]
-    report = suites.run_suites(names, draws=args.draws, seed=args.seed, m_max=args.m_max)
-    return _finish(report, args)
+    return suites.run_suites(names, draws=args.draws, seed=args.seed, m_max=args.m_max)
 
 
-def cmd_semigroup(args) -> int:
+def cmd_semigroup(args) -> VerificationReport:
     tokens = args.set.split(",")
     if not all(_INTEGER.fullmatch(tok) for tok in tokens):
         raise InputError(f"--set needs comma-separated integers, got {args.set!r}")
@@ -128,19 +98,14 @@ def cmd_semigroup(args) -> int:
     if args.coin is not None:
         if len(generators) != 2:
             raise InputError(f"--coin needs two generators p,q in --set, got {args.set!r}")
-        p, q = generators[0], generators[1]
+        p, q = generators
         i, j = semigroup.coin_solve(p, q, args.coin)
-        report.add(
-            f"coin solution {p}*i + {q}*j = {args.coin}",
-            True,
-            actual=f"i={i} j={j}",
-            inputs=inputs,
-        )
-    emit(report, args.format)
-    return 0
+        name = f"coin solution {p}*i + {q}*j = {args.coin}"
+        report.add(name, True, actual=f"i={i} j={j}", inputs=inputs)
+    return report
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> VerificationReport:
     v = resolve_variety(args.variety)
     ell = v.divisor(args.polarization)
     label = classify_variety(v, ell)
@@ -153,23 +118,12 @@ def cmd_classify(args) -> int:
         note=f"group={label.group} certainty={label.certainty}"
         + (f" th2={label.th2}" if label.th2 else ""),
     )
-    emit(report, args.format)
-    return 0
+    return report
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> VerificationReport:
     v = resolve_variety(args.variety)
-    ell = v.divisor(args.polarization)
-    report = adjoint.nonvanishing_report(v, ell, args.m_max)
-    if v.kappa_x is not None and v.kappa_x >= 0:  # where suite_bounds asserts it too
-        expr = adjoint.second_jump_expression(v, ell)
-        report.add(
-            "second-multiple expression >= 111/192",
-            expr >= Fraction(111, 192),
-            expected=">= 111/192",
-            actual=expr,
-        )
-    return _finish(report, args)
+    return adjoint.nonvanishing_report(v, v.divisor(args.polarization), args.m_max)
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, fmt: str, abstain: str) -> None:
@@ -255,25 +209,32 @@ def _attach_negative_divisors(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, write its report to stdout and map the report to the exit status."""
     parser = build_parser()
     args = parser.parse_args(_attach_negative_divisors(sys.argv[1:] if argv is None else argv))
+    abstained = None
     try:
-        return args.func(args)
+        report = args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except AbstainError as exc:
+        abstained = exc
         report = VerificationReport(title=args.command)
         report.add(f"{args.command}: {exc}", None, note=str(exc))
-        emit(report, args.format)
-        if args.abstain == "fail":
-            print(f"abstained: {exc}", file=sys.stderr)
-            return 3
-        print(f"warning (abstained): {exc}", file=sys.stderr)
-        return 0
     except SecgenusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        sys.stdout.write(report.to_json() + "\n")
+    else:
+        sys.stdout.write(report.to_csv() if args.format == "csv" else report.to_table())
+    if abstained is not None:
+        why = "abstained" if args.abstain == "fail" else "warning (abstained)"
+        print(f"{why}: {abstained}", file=sys.stderr)
+    if not report.passed:
+        return 1
+    return 3 if report.abstentions and args.abstain == "fail" else 0
 
 
 if __name__ == "__main__":

@@ -23,13 +23,14 @@ from .errors import InputError
 from .hrr import h0_certified
 from .variety import DivisorClass, VarietyData
 
+CLOSURE_MAX_BOUND = 10**7  # the largest bound ``closure`` allocates flags for
+
 
 @dataclass(frozen=True)
 class SemigroupSet:
     """A finite, additively closed set of positive integers up to a bound."""
 
     members: tuple[int, ...]
-    bound: int
 
     def __contains__(self, value: int) -> bool:
         i = bisect_left(self.members, value)
@@ -59,7 +60,11 @@ def coin_solve(p: int, q: int, l: int) -> tuple[int, int]:
 
 
 def closure(generators: Iterable[int], bound: int) -> SemigroupSet:
-    """Smallest additively closed superset of the generators within [1, bound]."""
+    """Smallest additively closed superset of the generators within [1, bound].
+
+    A bound above ``CLOSURE_MAX_BOUND`` is an InputError, raised before the
+    bound + 1 reachability flags are allocated.
+    """
     gens = sorted(set(generators))
     if not gens:
         raise InputError("generator set must be nonempty")
@@ -67,6 +72,8 @@ def closure(generators: Iterable[int], bound: int) -> SemigroupSet:
         raise InputError("generators must be positive")
     if bound < 1:
         raise InputError("bound must be at least 1")
+    if bound > CLOSURE_MAX_BOUND:
+        raise InputError(f"closure bound {bound} is above the limit {CLOSURE_MAX_BOUND}")
     reachable = [False] * (bound + 1)
     for g in gens:
         if g <= bound:
@@ -78,7 +85,7 @@ def closure(generators: Iterable[int], bound: int) -> SemigroupSet:
             if value + g <= bound:
                 reachable[value + g] = True
     members = tuple(v for v in range(1, bound + 1) if reachable[v])
-    return SemigroupSet(members=members, bound=bound)
+    return SemigroupSet(members)
 
 
 def guaranteed_threshold(generators: Iterable[int]) -> int | None:

@@ -74,9 +74,6 @@ class DivisorClass:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
 
 @dataclass(frozen=True)
 class AdjointDeclaration:

@@ -21,7 +21,7 @@ from secgenus.adjoint import (
 from secgenus.errors import AbstainError, InputError
 from secgenus.genus import g_i
 from secgenus.hrr import h0_certified
-from secgenus.variety import DivisorClass
+from secgenus.variety import DivisorClass, variety_from_json, variety_to_json
 
 
 def _difference_rhs_reference(req):
@@ -182,6 +182,13 @@ def test_jump_contract(x6, catalog):
         jump_rhs(catalog["P3"], catalog["P3"].divisor("1H"), 2)
 
 
+def test_multiple_lower_bound_is_the_exact_fraction():
+    # the product is always divisible by 12, so floor division is exact
+    for m in range(2, 10**4 + 1):
+        exact = Fraction((m - 1) * (m - 2) * (m * m + 3 * m + 6), 12) + 1
+        assert multiple_lower_bound(m) == exact, m
+
+
 def test_multiple_lower_bound_values():
     assert [multiple_lower_bound(m) for m in (2, 3, 4)] == [1, 5, 18]
     assert multiple_lower_bound(10) == 817
@@ -276,6 +283,28 @@ def test_nonvanishing_kappa_dispatch(catalog):
     # kappa(K+L) = 0: every multiple must have a section (h^0(0) = 1)
     assert _nonvanishing_counts(report) == {m: 1 for m in range(1, 7)}
     assert report.passed
+
+
+def _p1xp3_declaring(p1xp3, kappa):
+    # L = 2a+5b gives K + L = 0a+1b, the pull-back of a hyperplane of P3
+    data = variety_to_json(p1xp3)
+    data["kappa_adjoint"] = {"2a+5b": {"kappa": {"1": kappa}, "fine_type": None}}
+    v = variety_from_json(data)
+    return v, v.divisor("2a+5b")
+
+
+def test_nonvanishing_kappa_three_starts_at_the_second_multiple(p1xp3):
+    v, ell = _p1xp3_declaring(p1xp3, 3)
+    report = nonvanishing_report(v, ell, 5)
+    assert [c.name for c in report.checks] == [f"nonvanishing[m={m}]" for m in range(2, 6)]
+    assert _nonvanishing_counts(report) == {2: 10, 3: 20, 4: 35, 5: 56}
+    assert report.passed  # kappa(X) = -inf: no recursion or second-multiple rows
+
+
+def test_nonvanishing_kappa_minus_infinity_contradicts_nef(p1xp3):
+    v, ell = _p1xp3_declaring(p1xp3, "-inf")
+    with pytest.raises(InputError, match="contradicts nef K\\+L"):
+        nonvanishing_report(v, ell, 5)
 
 
 def test_nonvanishing_requires_nef(p4):

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from secgenus.cli import _SHORT_FLAGS, build_parser, main
+from secgenus.report import VerificationReport
 from secgenus.variety import save_variety, variety_to_json
 
 
@@ -287,6 +288,20 @@ def test_bounds_asserts_the_second_multiple_only_under_kappa_x_nonnegative(capsy
         assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_SHA256[name]
 
 
+def test_bounds_from_a_model_file_with_declared_kappa_three(capsys, tmp_path, p1xp3):
+    # K + L = 1b for L = 2a+5b on P1xP3: kappa(K+L) = 3 asserts m >= 2, h^0(mb) = C(m+3, 3)
+    data = variety_to_json(p1xp3)
+    data["kappa_adjoint"] = {"2a+5b": {"kappa": {"1": 3}, "fine_type": None}}
+    path = tmp_path / "p1xp3.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = ("--format", "json", "bounds", "--variety", str(path), "--L", "2a+5b", "--m-max", "5")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = {c["name"]: c["actual"] for c in json.loads(out)["checks"]}
+    assert rows == {"nonvanishing[m=2]": "10", "nonvanishing[m=3]": "20",
+                    "nonvanishing[m=4]": "35", "nonvanishing[m=5]": "56"}
+
+
 def test_bounds_input_error(capsys):
     code, _, err = run(capsys, "bounds", "--variety", "catalog:P4", "--L", "1H")
     assert code == 2
@@ -333,17 +348,40 @@ def test_catalog_accepts_every_buildable_tag(capsys):
         assert "Traceback" not in err
 
 
-def test_failed_report_exits_one(capsys):
-    import argparse
-
-    from secgenus.cli import _finish
-    from secgenus.report import VerificationReport
+def test_failed_report_exits_one(capsys, monkeypatch):
+    from secgenus import cli
 
     failing = VerificationReport(title="synthetic")
     failing.add("never true", False, expected=1, actual=2)
-    args = argparse.Namespace(format="table", abstain="warn")
-    assert _finish(failing, args) == 1
-    capsys.readouterr()
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: failing)
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (1, "") and "never true" in out
+    # a failed check outweighs an abstained one under either policy
+    failing.add("undecided", None)
+    for policy in ("warn", "fail"):
+        assert run(capsys, "--abstain", policy, "verify")[0] == 1
+
+
+# one valid argv per subcommand of build_parser()
+VALID_ARGV = {
+    "chi": ("chi", "--variety", "catalog:X6", "--divisor", "1H", "--expand"),
+    "genus": ("genus", "--variety", "catalog:X6", "-i", "3", "-L", "1H"),
+    "verify": ("verify", "--suite", "bounds", "--m-max", "4"),
+    "semigroup": ("semigroup", "--set", "4,5", "--threshold", "--coin", "20"),
+    "classify": ("classify", "--variety", "catalog:X6", "--L", "1H"),
+    "bounds": ("bounds", "--variety", "catalog:A4", "--L", "1L"),
+}
+
+
+def test_every_command_returns_its_report_and_writes_nothing(capsys):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.choices and "genus" in a.choices)
+    assert set(subparsers.choices) == set(VALID_ARGV)
+    for command, argv in VALID_ARGV.items():
+        args = parser.parse_args(argv)
+        report = args.func(args)
+        assert isinstance(report, VerificationReport) and report.passed, command
+        assert capsys.readouterr().out == "", command
 
 
 def test_parse_error_positions(capsys, tmp_path):
@@ -391,6 +429,8 @@ def test_fine_type_must_be_a_string_or_null(capsys, tmp_path, x6):
         (("semigroup", "--set", "4,,7"), "comma-separated integers"),
         (("semigroup", "--set", "4,07"), "comma-separated integers"),
         (("semigroup", "--set", "4,5,7", "--coin", "20"), "two generators"),
+        (("semigroup", "--set", "4,5", "--bound", "100000000000"), "above the limit"),
+        (("semigroup", "--set", "100000,100001", "--threshold"), "above the limit"),
     ],
 )
 def test_semigroup_usage_errors_exit_2(capsys, argv, message):
