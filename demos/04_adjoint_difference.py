@@ -15,7 +15,6 @@ req = DifferenceRequest.build(p4, [p4.divisor("6H")], p4.divisor("1H"))
 print("P4 with one degree-six bundle and a hyperplane:")
 print("  genus side        =", difference_rhs(req))
 print("  section-count side=", difference_lhs(req), " (h^0(2H) - h^0(H) = 15 - 5)")
-print("  certifications    =", ", ".join(req.certifications))
 print()
 
 x6 = catalog["X6"]

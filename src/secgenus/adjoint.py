@@ -36,7 +36,6 @@ class DifferenceRequest:
     variety: VarietyData
     big_bundles: tuple[DivisorClass, ...]
     nef_bundle: DivisorClass
-    certifications: tuple[str, ...] = ()
 
     @staticmethod
     def build(
@@ -46,17 +45,14 @@ class DifferenceRequest:
     ) -> "DifferenceRequest":
         if len(big_bundles) < 1:
             raise InputError("need at least one nef-and-big bundle")
-        certs = []
         for idx, bundle in enumerate(big_bundles, start=1):
             if not variety.is_nef_and_big(bundle):
                 raise InputError(
                     f"bundle {idx} ({variety.divisor_string(bundle)}) is not nef and big"
                 )
-            certs.append(f"L{idx}={variety.divisor_string(bundle)}:nef-and-big")
         if not variety.is_nef(nef_bundle):
             raise InputError(f"{variety.divisor_string(nef_bundle)} is not nef")
-        certs.append(f"L={variety.divisor_string(nef_bundle)}:nef")
-        return DifferenceRequest(variety, tuple(big_bundles), nef_bundle, tuple(certs))
+        return DifferenceRequest(variety, tuple(big_bundles), nef_bundle)
 
 
 def difference_rhs(req: DifferenceRequest) -> int:
@@ -211,8 +207,11 @@ def nonvanishing_report(v: VarietyData, ell: DivisorClass, m_max: int) -> Verifi
     InputError when that leaves none), in a report titled ``bounds:<name>``;
     with declared kappa(X) >= 0 the checks of ``check_multiple_bound`` and
     one "second-multiple expression >= 111/192" row are appended, as the
-    ``bounds`` suite asserts them.
+    ``bounds`` suite asserts them.  An L that is not ample is an InputError,
+    raised before any declaration is read.
     """
+    if not v.is_ample(ell):
+        raise InputError(f"L = {v.divisor_string(ell)} is not ample on {v.name}")
     kl = v.canonical + ell
     if not v.is_nef(kl):
         raise InputError(f"K + L is not nef on {v.name} for L = {v.divisor_string(ell)}")

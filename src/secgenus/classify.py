@@ -43,8 +43,6 @@ class AdjunctionLabel:
     def to_string(self) -> str:
         if self.exact is not None:
             return self.exact
-        if self.group == "7.5":
-            return "7.5"
         if self.group == GROUP_LOW_LABEL:
             return GROUP_LOW_LABEL
         if self.th2 is not None:
@@ -153,5 +151,10 @@ def _check_fine_consistency(fine: str, group: str, decl: AdjointDeclaration, n: 
 
 
 def classify_variety(v: VarietyData, ell: DivisorClass) -> AdjunctionLabel:
-    """Label from the model's declaration for L; an undeclared L classifies as declaring nothing."""
+    """Label from the model's declaration for L; an undeclared L classifies as declaring nothing.
+
+    An L that is not ample is an InputError, raised before any declaration is read.
+    """
+    if not v.is_ample(ell):
+        raise InputError(f"L = {v.divisor_string(ell)} is not ample on {v.name}")
     return classify(v.declaration_for(ell) or AdjointDeclaration({}), v.dim)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -98,8 +99,14 @@ def test_difference_certification(x6):
         DifferenceRequest.build(x6, [], x6.divisor("1H"))
     with pytest.raises(InputError):
         DifferenceRequest.build(x6, [x6.divisor("1H")], x6.divisor("-1H"))
-    req = DifferenceRequest.build(x6, [x6.divisor("1H")], x6.divisor("1H"))
-    assert any("nef-and-big" in c for c in req.certifications)
+
+
+def test_nonvanishing_report_abstains_without_a_certified_route(x6):
+    # no oracle, and H^4 = 0 leaves mH - K not big: no count can be certified
+    v = dataclasses.replace(x6, h0_oracle=None, intersection_form={(4,): 0})
+    rows = {c.name: (c.passed, c.note) for c in nonvanishing_report(v, v.divisor("1H"), 4).checks}
+    for m in (3, 4):
+        assert rows[f"nonvanishing[m={m}]"] == (None, "X6 has no exact section-count oracle")
 
 
 def test_difference_seeded_draws(catalog):

@@ -307,6 +307,35 @@ def test_bounds_input_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify", "--variety", "catalog:X6", "--L", "0H"), "L = 0H is not ample on X6"),
+        (
+            ("classify", "--variety", "catalog:P2xP2", "--L", "1a+0b"),
+            "L = 1a+0b is not ample on P2xP2",
+        ),
+        (("bounds", "--variety", "catalog:X6", "--L", "0H"), "L = 0H is not ample on X6"),
+    ],
+    ids=["classify-X6", "classify-P2xP2", "bounds-X6"],
+)
+def test_non_ample_polarization_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {message}\n"
+
+
+def test_model_error_exits_1_with_nothing_on_stdout(capsys, tmp_path, x6):
+    # c2.H^2 = 91 instead of 90: 24 chi(H) = 48 + 6 + 91 = 145
+    data = variety_to_json(x6)
+    data["c2_pairings"] = {"H^2": 91}
+    path = tmp_path / "x6.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "chi", "--variety", str(path), "--divisor", "1H")
+    assert (code, out) == (1, "")
+    assert err == "error: chi(1H) on X6 is not an integer: 145/24\n"
+
+
 @pytest.mark.parametrize("m_max", ["2", "0", "-3"])
 def test_bounds_m_max_below_asserted_start_exits_2(capsys, m_max):
     # declared kappa(K+L) = 4 on X6 asserts m >= 3: these ranges hold no nonvanishing row
@@ -456,13 +485,16 @@ def test_divisor_starting_with_minus_is_passed_with_equals(capsys):
             (*genus, "-L=-1H", "-L=1H", "-L=1H"),
             {"actual": "-2", "inputs": {"bundles": "-1H,1H,1H", "i": "1", "variety": "X6"}},
         ),
-        (("classify", *x6, "--L", "-2H"), ("classify", *x6, "--L=-2H"), {"pass": None}),
-        (("classify", *x6, "--L", "-H"), ("classify", *x6, "--L=-H"), {"pass": None}),
     ]:
         code, out, err = run(capsys, "--format", "json", *plain)
         assert code == 0, err
         assert json.loads(out)["checks"][0].items() >= first_check.items()
         assert run(capsys, "--format", "json", *equals) == (code, out, err)
+    # a negative L is read as the divisor and refused as not ample
+    for value, spelled in (("-2H", "-2H"), ("-H", "-1H")):
+        code, out, err = run(capsys, "--format", "json", "classify", *x6, "--L", value)
+        assert (code, out) == (2, "") and f"L = {spelled} is not ample on X6" in err
+        assert run(capsys, "--format", "json", "classify", *x6, f"--L={value}") == (code, out, err)
     # the parser's own flags are never read as a divisor
     for flag in ("-i", "-L", "-h"):
         with pytest.raises(SystemExit) as exit_info:

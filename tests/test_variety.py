@@ -4,8 +4,9 @@ import hashlib
 import json
 import random
 import re
+from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from secgenus.variety import (
     NEG_INF,
     DivisorClass,
     VarietyData,
+    _horner,
     _monomials,
     _multinomial,
     c2_pair,
@@ -233,12 +235,12 @@ def test_validate_catches_corrupted_form(x6):
 
 
 def test_parity_check_can_fail(x6):
-    # H^4 = 7 with K = 0 makes (K+3L)L^3 = 21 c^4 at L = cH: odd at c = 1, 3
+    # H^4 = 7 with K = 0 makes (K+3L)L^3 = 21 c^4 at L = cH: odd at c = 1, 3.
+    # An odd value makes chi non-integral somewhere, so the lattice row refuses it
     odd = dataclasses.replace(x6, intersection_form={(4,): 7})
-    rows = {c.name: (c.passed, c.actual) for c in validate(odd).checks if "L^3 even" in c.name}
-    assert rows == {
-        "(K+3L)L^3 even at L=1H": (False, "21"),
-    }
+    rows = {c.name: (c.passed, c.actual) for c in validate(odd).checks}
+    assert rows["chi expansion integral"] == (False, "chi(1H) = 145/24")
+    assert not any("L^3 even" in name for name in rows)
     h = odd.divisor("1H")
     with pytest.raises(ModelError, match=r"parity violation on X6: \(K\+A\+B\+C\)ABC = 21 is odd"):
         g1_closed(odd, h, h, h)
@@ -246,17 +248,59 @@ def test_parity_check_can_fail(x6):
 
 def test_parity_rows_cover_every_class_mod_2(catalog):
     # (K+3L)L^3 mod 2 depends only on L mod 2; on this P2xP2 it is odd only at
-    # L = (0, 1) mod 2, so each non-zero class mod 2 needs a row of its own
+    # L = (0, 1) mod 2, where the all-ones L does not look.  The lattice row reads
+    # chi at every class, so it refuses the model without a parity row per class
     planted = dataclasses.replace(
         catalog["P2xP2"],
         intersection_form={(4, 0): 0, (3, 1): 0, (2, 2): 1, (1, 3): 3, (0, 4): 3},
     )
-    rows = {c.name: c.passed for c in validate(planted).checks if "L^3 even" in c.name}
-    assert rows == {
-        "(K+3L)L^3 even at L=1a+1b": True,
-        "(K+3L)L^3 even at L=1a+2b": True,
-        "(K+3L)L^3 even at L=2a+1b": False,
-    }
+    rows = {c.name: (c.passed, c.actual) for c in validate(planted).checks}
+    assert rows["chi expansion integral"] == (False, "chi(0a+2b) = 67/2")
+    assert not any("L^3 even" in name for name in rows)
+
+
+def _random_fourfold(rng: random.Random, i: int) -> VarietyData:
+    """An integer 4-fold of rank 1-3 whose chi need not be integer-valued."""
+    g = rng.randint(1, 3)
+    return VarietyData(
+        name=f"R{i}",
+        dim=4,
+        generators=("H",) if g == 1 else tuple("abc"[:g]),
+        intersection_form={e: rng.randint(-3, 6) for e in _monomials(g, 4)},
+        canonical=DivisorClass(tuple(rng.randint(-4, 2) for _ in range(g))),
+        c2_pairings={e: rng.randint(-5, 40) for e in _monomials(g, 2)},
+        hodge=(1, *(rng.randint(0, 3) for _ in range(4))),
+    )
+
+
+def test_parity_is_an_integer_combination_of_chi(catalog):
+    # (K+3L)L^3 = -2 sum_j (-1)^j C(3, j) chi(-jL): an integer-valued chi makes it
+    # even, so validate needs no parity row.  chi is read as a Fraction, so the
+    # identity is checked on models whose chi is not integer-valued too
+    rng = random.Random(25)
+    models = [v for v in catalog.values() if v.dim == 4]
+    models += [_random_fourfold(rng, i) for i in range(200)]
+    pairs = 0
+    for v in models:
+        chi = v.chi_polynomial
+        for coeffs in product(range(-2, 3), repeat=len(v.generators)):
+            ell = DivisorClass(coeffs)
+            side = -2 * sum(
+                (-1) ** j * comb(3, j) * Fraction(_horner(chi.horner, (-j * ell).coeffs), chi.denom)
+                for j in range(4)
+            )
+            assert side == intersection_number(v, [v.canonical + 3 * ell, ell, ell, ell]), (
+                v.name,
+                coeffs,
+            )
+            pairs += 1
+    assert pairs > 5000
+
+
+def test_validate_compiles_only_chi():
+    v = catalog_build("hypersurface:6")
+    assert validate(v).passed
+    assert "chi_polynomial" in vars(v) and "genus_form" not in vars(v)
 
 
 def test_validate_lattice_check_agrees_with_chi_multi(catalog):
