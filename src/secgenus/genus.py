@@ -49,7 +49,7 @@ from operator import sub
 
 from .errors import InputError, ModelError
 from .hrr import chi_divisor
-from .variety import DivisorClass, VarietyData, _check_length, _horner, c2_pair, intersection_number
+from .variety import DivisorClass, VarietyData, _check_length, c2_pair, intersection_number
 
 
 def chi_H_table(
@@ -101,13 +101,10 @@ def g_i(v: VarietyData, i: int, bundles: list[DivisorClass]) -> int:
 
 
 def g1_closed(v: VarietyData, a: DivisorClass, b: DivisorClass, c: DivisorClass) -> int:
-    """Closed form for g_1 on 4-folds: 1 + (K + A + B + C) A B C / 2; g(A) from ``genus_form``."""
+    """Closed form for g_1 on 4-folds: 1 + (K + A + B + C) A B C / 2, by ``intersection_number``."""
     if v.dim != 4:
         raise InputError("g1_closed is a 4-fold formula")
-    if a == b == c and len(a.coeffs) == len(v.generators):
-        product = _horner(v.genus_form, a.coeffs)
-    else:
-        product = intersection_number(v, [v.canonical + a + b + c, a, b, c])
+    product = intersection_number(v, [v.canonical + a + b + c, a, b, c])
     if product % 2:
         raise ModelError(f"parity violation on {v.name}: (K+A+B+C)ABC = {product} is odd")
     return 1 + product // 2

@@ -175,7 +175,7 @@ def suite_additivity(
     code's inclusion-exclusion, not the model: a model with a wrong chi
     fails ``closed`` and ``g0`` but passes here.
     """
-    entries = fourfold_entries() if entries is None else entries
+    entries = [v for v in (fourfold_entries() if entries is None else entries) if v.dim >= 2]
     report = VerificationReport(title="additivity")
     rng = random.Random(seed)
     for k in range(draws) if entries else ():
@@ -191,7 +191,7 @@ def suite_additivity(
             lambda: _equal(genus.additivity_residual(v, i, a, b, rest), 0),
             _inputs(v, i=i, A=a, B=b, rest=rest),
         )
-    return _or_abstain(report, "no entry")
+    return _or_abstain(report, "no entry of dimension at least 2")
 
 
 def suite_bounds(entries: list[VarietyData] | None = None, m_max: int = 10) -> VerificationReport:

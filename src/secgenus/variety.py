@@ -19,12 +19,12 @@ count.  Past it, arithmetic trusts its inputs and coerces nothing.
 
 Intersection monomials are keyed by exponent tuples over the generator
 list, so symmetry of the form is structural.  A missing monomial is a
-hard model error, never a silent zero.  Each model compiles three
+hard model error, never a silent zero.  Each model compiles two
 polynomials in the coordinates of D once, on first use, with one compiler
-(``_compile``) and three term lists: chi (``chi_polynomial``, the Todd
-closed form of ``_TODD``), D^n (``top_form``) and (K + (n-1)D) D^(n-1) =
-2g(D) - 2 (``genus_form``).  Each reads whole tables, so for them a missing
-monomial is an error on every class.  ``validate`` reads only chi: its lattice
+(``_compile``): chi (``chi_polynomial``, the Todd closed form of ``_TODD``)
+and D^n (``top_form``).  Both read whole tables, so for them a missing
+monomial is an error on every class; ``genus.g1_closed`` reads
+``intersection_number`` for every triple.  ``validate`` reads only chi: its lattice
 rule already makes 2g(L) - 2 even on a 4-fold (the identity is in its docstring).
 
 Kodaira dimensions take values in {-inf, 0, ..., n}; ``-inf`` is
@@ -134,14 +134,6 @@ class VarietyData:
     def top_form(self) -> tuple:
         """D -> D^n as a nested Horner form (see ``_horner``), compiled on first use."""
         return _compile(self, ((1, False, 0),))
-
-    @cached_property
-    def genus_form(self) -> tuple:
-        """D -> (K + (n-1)D) D^(n-1) = 2g(D) - 2 as a nested Horner form, compiled on first use.
-
-        K D^(n-1) = -c_1 D^(n-1): one term on the table and one contraction with c_1.
-        """
-        return _compile(self, ((self.dim - 1, False, 0), (-1, False, 1)))
 
     def zero(self) -> DivisorClass:
         return DivisorClass((0,) * len(self.generators))

@@ -176,6 +176,18 @@ def test_g1_closed_adjoint_instance(x6):
     assert g1_closed(x6, kl, kl, h) == 1 + 9
 
 
+def test_g1_closed_is_the_classical_curve_section_genus():
+    # the curve cut by three sections of L, by a formula independent of the intersection
+    # table: a plane curve of degree d on X_d, 1 + 3 L^4 / 2 on an abelian 4-fold (K = 0),
+    # a line on P4, a rational normal quartic on P1xP3, an elliptic sextic on P2xP2
+    cases = [(catalog_build(f"hypersurface:{d}"), (d - 1) * (d - 2) // 2) for d in range(2, 17)]
+    cases += [(catalog_build("abelian", 24 * k), 1 + 36 * k) for k in range(1, 61)]
+    cases += [(catalog_build("p1xp3"), 0), (catalog_build("p4"), 0), (catalog_build("p2xp2"), 1)]
+    for v, genus in cases:
+        ell = v.polarization
+        assert g1_closed(v, ell, ell, ell) == genus, v.name
+
+
 def test_g2_adjoint_closed(x6, a4):
     assert g2_adjoint_closed(x6, x6.divisor("1H")) == 10
     assert g2_adjoint_closed(a4, a4.divisor("1L")) == 17

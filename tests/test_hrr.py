@@ -471,19 +471,9 @@ def _genus_models(catalog):
     return models
 
 
-def test_genus_form_matches_intersection_number(catalog):
-    # (K + (n-1)A) A^(n-1) = 2g(A) - 2 by Horner's rule on the compiled form equals
-    # the generic expansion, over classes with negative and zero coordinates
-    for v in _genus_models(catalog):
-        for coeffs in product(range(-2, 3), repeat=len(v.generators)):
-            a = DivisorClass(coeffs)
-            expected = intersection_number(v, [v.canonical + (v.dim - 1) * a] + [a] * (v.dim - 1))
-            assert _horner(v.genus_form, coeffs) == expected, (v.name, v.intersection_form, a)
-
-
 def test_g1_closed_at_equal_classes_matches_trilinear_expansion(catalog):
-    # g_1(A, A, A) reads genus_form; it must agree with 1 + (K+A+A+A)AAA / 2 and
-    # raise the same parity violation when that product is odd
+    # g_1(A, A, A) must agree with 1 + (K+A+A+A)AAA / 2 and raise the same
+    # parity violation when that product is odd
     outcomes = set()
     for v in _genus_models(catalog):
         if v.dim != 4:
@@ -507,21 +497,29 @@ def test_g1_closed_at_equal_classes_matches_trilinear_expansion(catalog):
         g1_closed(x6, wrong, wrong, wrong)
 
 
-def test_genus_form_raises_on_any_missing_intersection_monomial(catalog):
-    # like top_form, the genus form reads the whole table, so every class hits the gap
+def test_g1_closed_at_equal_classes_raises_only_where_its_product_reads_a_gap(catalog):
+    # g_1(A, A, A) reads the table through intersection_number, as g_1(A, B, C) does:
+    # it raises that product's error where the product reads the missing monomial,
+    # and elsewhere gives the complete model's value
+    outcomes = set()
     for v in [*catalog.values(), _p1xp1xp2()]:
+        if v.dim != 4:
+            continue
         for key in v.intersection_form:
             broken = _without(v, [("intersection_form", key)])
-            message = f"{v.name} intersection table is missing monomial {key}"
             for coeffs in product(range(-1, 2), repeat=len(v.generators)):
-                with pytest.raises(ModelError) as raised:
-                    _horner(broken.genus_form, coeffs)
-                assert str(raised.value) == message
-                if v.dim == 4:
-                    a = DivisorClass(coeffs)
+                a = DivisorClass(coeffs)
+                try:
+                    intersection_number(broken, [broken.canonical + 3 * a, a, a, a])
+                except ModelError as gap:
                     with pytest.raises(ModelError) as raised:
                         g1_closed(broken, a, a, a)
-                    assert str(raised.value) == message
+                    assert str(raised.value) == str(gap), (v.name, key, coeffs)
+                    outcomes.add("raised")
+                else:
+                    assert g1_closed(broken, a, a, a) == g1_closed(v, a, a, a), (v.name, key)
+                    outcomes.add("value")
+    assert outcomes == {"raised", "value"}
 
 
 def test_nef_and_big_raises_on_any_missing_intersection_monomial(catalog):
@@ -537,14 +535,13 @@ def test_nef_and_big_raises_on_any_missing_intersection_monomial(catalog):
                 assert str(raised.value) == f"{v.name} intersection table is missing monomial {key}"
 
 
-def test_top_and_genus_forms_read_only_the_intersection_table(catalog):
-    # D^n and 2g(D) - 2 have no c_2 term: a gap in the c_2 table leaves both forms and
-    # the nef-and-big test as on the complete model, while chi (from dimension 3) raises
+def test_top_form_reads_only_the_intersection_table(catalog):
+    # D^n has no c_2 term: a gap in the c_2 table leaves the form and the
+    # nef-and-big test as on the complete model, while chi (from dimension 3) raises
     for v in catalog.values():
         for key in v.c2_pairings:
             broken = _without(v, [("c2_pairings", key)])
             assert broken.top_form == v.top_form, (v.name, key)
-            assert broken.genus_form == v.genus_form, (v.name, key)
             assert broken.is_nef_and_big(broken.polarization), (v.name, key)
             if v.dim < 3:
                 assert broken.chi_polynomial == v.chi_polynomial, (v.name, key)

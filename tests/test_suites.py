@@ -154,6 +154,7 @@ def test_planted_model_reports_are_pinned(catalog, model, name):
         ("integrality", None),  # no entry at all
         ("serre", None),
         ("additivity", None),
+        ("additivity", "P1"),  # no index 1 <= i <= dim - 1
         ("g0", None),
     ],
 )
@@ -161,6 +162,14 @@ def test_suite_without_usable_entry_abstains(catalog, name, entry):
     report = getattr(suites, f"suite_{name}")([catalog[entry]] if entry else [])
     assert len(report.checks) == 1 and report.checks[0].abstained
     assert report.checks[0].name.startswith(f"{name}: no ")
+
+
+@pytest.mark.parametrize("entry", ["P1", "P2", "P3"])
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_every_suite_reports_on_a_low_dimensional_entry(catalog, name, entry):
+    # every model the library accepts gets a report, never an exception
+    report = getattr(suites, f"suite_{name}")([catalog[entry]])
+    assert report.checks and report.summary()["failed"] == 0, (name, entry)
 
 
 @pytest.mark.parametrize("kwargs", [{"draws": 0}, {"draws": -3}, {"m_max": 1}, {"m_max": -2}])

@@ -17,7 +17,8 @@ import secgenus
 from secgenus import hrr
 from secgenus.errors import AbstainError, InputError, ModelError
 from secgenus.genus import g1_closed
-from secgenus.hrr import chi_divisor, chi_multi
+from secgenus.classify import classify_variety
+from secgenus.hrr import chi_divisor, chi_multi, h0_certified
 from secgenus.suites import get_catalog
 from secgenus.variety import (
     NEG_INF,
@@ -298,9 +299,19 @@ def test_parity_is_an_integer_combination_of_chi(catalog):
 
 
 def test_validate_compiles_only_chi():
+    # the per-model caches are the names in vars(v) that are not dataclass fields: validate
+    # compiles chi, and a whole ``models`` benchmark op adds only the D^n form
     v = catalog_build("hypersurface:6")
+    fields = {f.name for f in dataclasses.fields(v)}
     assert validate(v).passed
-    assert "chi_polynomial" in vars(v) and "genus_form" not in vars(v)
+    assert set(vars(v)) - fields == {"chi_o", "chi_polynomial"}
+    ell = v.polarization
+    classify_variety(v, ell)
+    for t in (-3, 0, 1, 4):
+        chi_divisor(v, t * ell)
+        h0_certified(v, t * ell)
+    assert g1_closed(v, ell, ell, ell) == 10
+    assert set(vars(v)) - fields == {"chi_o", "chi_polynomial", "top_form"}
 
 
 def test_validate_lattice_check_agrees_with_chi_multi(catalog):
