@@ -24,14 +24,16 @@ k = n - i bundles (Stanley, Enumerative Combinatorics I, 1.9) it is
 (``hrr.chi_multi``) reads C(k + n, n) points.  With no bundles (i = n) it is chi(O).
 
 The same 2^k values give chi^H of every sub-list at once.
-``chi_H_table`` evaluates chi once at each subset sum and then runs one
-in-place Moebius pass over the subset lattice, k 2^(k-1) subtractions
-(entry S becomes entry S-{j} minus entry S, for each j in S), so entry S
-is chi^H of the sub-list S.  The difference formula sums genera over
-sub-lists with at most n - 1 of its m big bundles, so its table keeps
-only those (a down-closed family, on which the pass still works):
-2 sum_{t<n} C(m, t) values, never more than the 2^(t+1) per genus term
-of the separate sums.
+``chi_H_table`` reads the model's compiled form (``VarietyData.chi_polynomial``)
+in scaled integers: denom * chi at each subset sum, divided exactly once
+per point (at the first remainder, ``chi_divisor`` raises the ModelError
+that names the class).  It then runs one in-place Moebius pass over the
+subset lattice, k 2^(k-1) subtractions (entry S becomes entry S-{j}
+minus entry S, for each j in S), so entry S is chi^H of the sub-list S.
+The difference formula sums genera over sub-lists with at most n - 1 of
+its m big bundles, so its table keeps only those (a down-closed family,
+on which the pass still works): 2 sum_{t<n} C(m, t) values, never more
+than the 2^(t+1) per genus term of the separate sums.
 
 Two closed forms for dimension 4 accompany the definition: a trilinear
 form for g_1 and the adjoint expansion for g_2(X, K+L, K+L).  Both are
@@ -49,7 +51,7 @@ from operator import sub
 
 from .errors import InputError, ModelError
 from .hrr import chi_divisor
-from .variety import DivisorClass, VarietyData, _check_length, c2_pair, intersection_number
+from .variety import DivisorClass, VarietyData, _check_length, _horner, c2_pair, intersection_number
 
 
 def chi_H_table(
@@ -68,7 +70,11 @@ def chi_H_table(
         for mask, point in list(points.items()):
             if not bit & capped or (mask & capped).bit_count() < max_size:
                 points[mask | bit] = tuple(map(sub, point, bundle.coeffs))
-    table = {mask: chi_divisor(v, DivisorClass(point)) for mask, point in points.items()}
+    chi, table = v.chi_polynomial, {}
+    for mask, point in points.items():  # denom * chi at each point, divided exactly
+        table[mask], remainder = divmod(_horner(chi.horner, point), chi.denom)
+        if remainder:
+            chi_divisor(v, DivisorClass(point))  # raises the ModelError that names the class
     # Moebius pass: a backward difference along each bundle in turn
     for j in range(len(bundles)):
         bit = 1 << j
@@ -90,9 +96,8 @@ def chi_H_i(v: VarietyData, i: int, bundles: list[DivisorClass]) -> int:
 
 def genus_from_chi_H(v: VarietyData, i: int, chi_h: int) -> int:
     """g_i from chi_i^H: (-1)^i (chi_i^H - chi(O)) plus the Hodge tail."""
-    n = v.dim
-    tail = sum((-1) ** (n - i - j) * v.hodge[n - j] for j in range(n - i + 1))
-    return (-1) ** i * (chi_h - v.chi_o) + tail
+    tail = sum(v.hodge[i::2]) - sum(v.hodge[i + 1 :: 2])
+    return (v.chi_o - chi_h if i % 2 else chi_h - v.chi_o) + tail
 
 
 def g_i(v: VarietyData, i: int, bundles: list[DivisorClass]) -> int:
@@ -119,16 +124,11 @@ def g2_adjoint_closed(v: VarietyData, ell: DivisorClass) -> int:
     term_main = intersection_number(v, [k + 3 * d, k + 2 * d, d, d])
     term_c2 = c2_pair(v, [d, d])
     term_tail = intersection_number(v, [2 * k + 2 * d, d, d, d])
-    value = (
-        -1
-        + v.hodge[1]
-        + Fraction(term_main, 12)
-        + Fraction(term_c2, 12)
-        + Fraction(term_tail, 24)
-    )
-    if value.denominator != 1:
-        raise ModelError(f"g_2 closed form on {v.name} is not an integer: {value}")
-    return int(value)
+    scaled = 24 * (v.hodge[1] - 1) + 2 * (term_main + term_c2) + term_tail  # 24 g_2
+    value, remainder = divmod(scaled, 24)
+    if remainder:
+        raise ModelError(f"g_2 closed form on {v.name} is not an integer: {Fraction(scaled, 24)}")
+    return value
 
 
 def additivity_residual(

@@ -103,7 +103,7 @@ class VerificationReport:
             passed,
             expected if type(expected) is str else fmt(expected),
             actual if type(actual) is str else fmt(actual),
-            {k: fmt(v) for k, v in inputs.items()} if inputs else {},
+            {k: v if type(v) is str else fmt(v) for k, v in inputs.items()} if inputs else {},
             note,
         )
         self.checks.append(check)

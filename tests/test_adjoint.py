@@ -50,15 +50,15 @@ def _draw(rng, g, lo, hi):
 
 @pytest.fixture
 def chi_calls(monkeypatch):
-    """Count the chi evaluations the genus code makes."""
+    """Count the chi evaluations the genus code makes: its reads of the compiled chi form."""
     calls = []
-    original = genus.chi_divisor
+    original = genus._horner
 
-    def counted(v, d):
-        calls.append(d)
-        return original(v, d)
+    def counted(form, x, i=0):
+        calls.append(x)
+        return original(form, x, i)
 
-    monkeypatch.setattr(genus, "chi_divisor", counted)
+    monkeypatch.setattr(genus, "_horner", counted)  # the recursion inside stays uncounted
     return calls
 
 

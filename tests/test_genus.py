@@ -1,10 +1,12 @@
+import dataclasses
 import gc
 import random
 import weakref
 
 import pytest
 
-from secgenus.errors import InputError
+from secgenus import genus
+from secgenus.errors import InputError, ModelError
 from secgenus.genus import (
     additivity_residual,
     chi_H_i,
@@ -12,8 +14,9 @@ from secgenus.genus import (
     g1_closed,
     g2_adjoint_closed,
     g_i,
+    genus_from_chi_H,
 )
-from secgenus.hrr import chi_multi
+from secgenus.hrr import chi_divisor, chi_multi
 from secgenus.variety import DivisorClass, catalog_build, intersection_number
 
 
@@ -99,6 +102,105 @@ def test_chi_h_table_rejects_wrong_length(p1xp3):
         chi_H_table(p1xp3, [p1xp3.divisor("1a"), DivisorClass((1,))])
     with pytest.raises(InputError):
         chi_H_i(p1xp3, 3, [DivisorClass((1, 0, 0))])
+
+
+def _x6_c2_91(x6):
+    # c2.H^2 = 91 instead of 90 (K = 0): 24 chi(tH) = 48 + 6t^4 + 91t^2 is divisible by 24
+    # at t = 0, 12 and 24 but not at t = 1, 2 or 3
+    return dataclasses.replace(x6, c2_pairings={(2,): 91})
+
+
+def _chi_H_table_reference(v, bundles, max_size=None):
+    """chi_divisor at each subset sum in mask order, then inclusion-exclusion over submasks."""
+    k = len(bundles)
+    capped = ((1 << k) - 1) >> 1
+    masks = [m for m in range(1 << k) if max_size is None or (m & capped).bit_count() <= max_size]
+    chi = {}
+    for mask in masks:
+        point = v.zero()
+        for b in _sub_list(bundles, mask):
+            point = point - b
+        chi[mask] = chi_divisor(v, point)
+    return {
+        mask: sum((-1) ** sub.bit_count() * chi[sub] for sub in masks if sub & mask == sub)
+        for mask in masks
+    }
+
+
+def test_chi_h_table_equals_the_chi_divisor_reference(catalog):
+    rng = random.Random(2027)
+
+    def draw(g):
+        return DivisorClass(tuple(rng.randint(-3, 3) for _ in range(g)))
+
+    for v in catalog.values():
+        g = len(v.generators)
+        for k in range(v.dim + 1):
+            for _ in range(3):
+                bundles = [draw(g) for _ in range(k)]
+                for max_size in (None, *range(k)):
+                    expected = _chi_H_table_reference(v, bundles, max_size)
+                    assert chi_H_table(v, bundles, max_size) == expected, (v.name, bundles)
+
+
+@pytest.fixture
+def chi_divisor_calls(monkeypatch):
+    calls = []
+    original = genus.chi_divisor
+
+    def counted(v, d):
+        calls.append(d)
+        return original(v, d)
+
+    monkeypatch.setattr(genus, "chi_divisor", counted)
+    return calls
+
+
+def test_chi_h_table_calls_chi_divisor_only_to_raise(catalog, x6, chi_divisor_calls):
+    for v in catalog.values():
+        chi_H_table(v, [v.polarization] * v.dim)
+    assert chi_divisor_calls == []
+    planted = _x6_c2_91(x6)
+    with pytest.raises(ModelError):
+        chi_H_table(planted, [planted.divisor("1H")] * 2)
+    assert len(chi_divisor_calls) == 1
+
+
+def test_chi_h_table_raises_the_reference_error_on_a_plant(x6):
+    # the first failing point (in mask order) moves with the list
+    planted = _x6_c2_91(x6)
+    h = planted.divisor("1H")
+    for bundles, max_size in [
+        ([h], None),
+        ([planted.zero(), h], None),
+        ([12 * h, h, 2 * h], None),
+        ([12 * h, 24 * h, 2 * h], 0),
+    ]:
+        with pytest.raises(ModelError) as reference:
+            _chi_H_table_reference(planted, bundles, max_size)
+        with pytest.raises(ModelError) as kernel:
+            chi_H_table(planted, bundles, max_size)
+        assert str(kernel.value) == str(reference.value)
+        assert "on X6 is not an integer" in str(kernel.value)
+
+
+def _genus_from_chi_H_reference(v, i, chi_h):
+    n = v.dim
+    tail = sum((-1) ** (n - i - j) * v.hodge[n - j] for j in range(n - i + 1))
+    return (-1) ** i * (chi_h - v.chi_o) + tail
+
+
+def test_genus_from_chi_h_equals_the_signed_sum(catalog):
+    rng = random.Random(91)
+    models = list(catalog.values())
+    for v in list(models):
+        for _ in range(4):
+            hodge = (1, *(rng.randint(0, 40) for _ in range(v.dim)))
+            models.append(dataclasses.replace(v, hodge=hodge))
+    for v in models:
+        for i in range(v.dim + 1):
+            for chi_h in (0, v.chi_o, rng.randint(-500, 500)):
+                assert genus_from_chi_H(v, i, chi_h) == _genus_from_chi_H_reference(v, i, chi_h)
 
 
 def test_genus_keeps_no_reference_to_the_model():
@@ -191,6 +293,17 @@ def test_g1_closed_is_the_classical_curve_section_genus():
 def test_g2_adjoint_closed(x6, a4):
     assert g2_adjoint_closed(x6, x6.divisor("1H")) == 10
     assert g2_adjoint_closed(a4, a4.divisor("1L")) == 17
+
+
+def test_g2_adjoint_closed_names_a_non_integer_value(x6):
+    # 24 g_2(X, tH, tH) = 84t^4 + 182t^2 - 24 on the plant has denominators 12, 3 and 4
+    # at t = 1, 2 and 3; t = 0 stays integral
+    planted = _x6_c2_91(x6)
+    for twist, value in (("1H", "121/12"), ("2H", "256/3"), ("3H", "1403/4"), ("-1H", "121/12")):
+        with pytest.raises(ModelError) as caught:
+            g2_adjoint_closed(planted, planted.divisor(twist))
+        assert str(caught.value) == f"g_2 closed form on X6 is not an integer: {value}"
+    assert g2_adjoint_closed(planted, planted.zero()) == -1
 
 
 def test_closed_forms_match_definition(catalog):
