@@ -16,8 +16,9 @@ scaled integer values of that form at the C(k + n, n) points t = -q of
 the simplex (``binpoly.simplex``, ``binpoly.backward_differences``) and
 tests each coefficient for divisibility by the denominator.  The
 coefficients are integers exactly when that map is integer-valued on
-Z^k, so a model whose chi is not integer-valued fails there, where a
-pointwise evaluation on a grid could only raise.
+Z^k, so an expansion along a pull-back on which chi is not integer-valued
+raises.  It serves ``chi --expand``; ``validate`` and ``verify`` decide
+integrality on the whole lattice instead (``variety.integrality_row``).
 
 ``h0_certified`` is the one function that turns a class into a certified
 section count.  It decides the route: chi(D) under the one vanishing rule

@@ -25,7 +25,7 @@ from .report import VerificationReport
 from .variety import (
     DivisorClass,
     VarietyData,
-    _non_integer_point,
+    integrality_row,
     intersection_number,
     standard_catalog,
 )
@@ -172,8 +172,10 @@ def suite_additivity(
     """Additivity residual vanishes on seeded draws across the catalog.
 
     The residual is zero for any chi, so this suite checks the genus
-    code's inclusion-exclusion, not the model: a model with a wrong chi
-    fails ``closed`` and ``g0`` but passes here.
+    code's inclusion-exclusion, not the model.  A chi that is not
+    integer-valued fails here as in ``closed`` and ``g0``, only as "a
+    consistent model" errors; a wrong chi that stays integer-valued
+    fails none of the three.
     """
     entries = [v for v in (fourfold_entries() if entries is None else entries) if v.dim >= 2]
     report = VerificationReport(title="additivity")
@@ -230,58 +232,17 @@ def suite_bounds(entries: list[VarietyData] | None = None, m_max: int = 10) -> V
     return _or_abstain(report, "no 4-fold entry with a polarization L, kappa(X) >= 0 and K + L nef")
 
 
-def _integer_expansion(v: VarietyData, bundles: list[DivisorClass]) -> tuple:
-    """Integer binomial-basis coefficients of t -> chi(t_1 D_1 + ... + t_k D_k).
+def suite_integrality(entries: list[VarietyData] | None = None) -> VerificationReport:
+    """chi integer-valued on the lattice: one row per entry, ``validate``'s integrality row.
 
-    A pull-back of a chi that is integer-valued on the lattice is integer-valued,
-    so ``chi_multi`` runs only on a model where ``_non_integer_point`` finds a point.
-    """
-    # a non-integer coefficient is this check failing, not a model error met on the way
-    try:
-        if _non_integer_point(v) is not None:
-            hrr.chi_multi(v, bundles)
-    except ModelError as exc:
-        return False, "integer coefficients", str(exc)
-    return True, "integer coefficients", "ok"
-
-
-def _even(value: int) -> tuple:
-    return value % 2 == 0, "even", value
-
-
-def suite_integrality(
-    entries: list[VarietyData] | None = None, draws: int = 8, seed: int = 7
-) -> VerificationReport:
-    """Integer binomial-basis coefficients of chi on seeded bundles, and evenness of (K+3L)L^3.
-
-    A "chi expansion" check passes when ``_non_integer_point`` finds chi
-    integer-valued on the lattice, the rule ``validate`` applies; otherwise
-    ``hrr.chi_multi`` decides its bundles.  A model whose chi is not
-    integer-valued fails the checks whose pull-back is not.
+    ``variety.integrality_row`` decides and words it.  A model whose chi is
+    not integer-valued fails its row; by the identity in ``validate``'s
+    docstring that also decides the parity of (K+3L)L^3 on a 4-fold.
     """
     entries = fourfold_entries() if entries is None else entries
     report = VerificationReport(title="integrality")
-    rng = random.Random(seed)
     for v in entries:
-        g = len(v.generators)
-        for k in range(draws):
-            arity = rng.randint(1, v.dim)
-            bundles = [_draw_class(rng, g, -2, 2) for _ in range(arity)]
-            _check(
-                report,
-                f"{v.name} chi expansion {k} (arity {arity})",
-                lambda: _integer_expansion(v, bundles),
-                _inputs(v, bundles=bundles),
-            )
-        if v.dim == 4:
-            for k in range(draws):
-                ample = _draw_class(rng, g, 1, 3)
-                _check(
-                    report,
-                    f"{v.name} parity draw {k}",
-                    lambda: _even(intersection_number(v, [v.canonical + 3 * ample] + [ample] * 3)),
-                    _inputs(v, L=ample),
-                )
+        _check(report, f"{v.name} chi expansion integral", lambda: integrality_row(v), _inputs(v))
     return _or_abstain(report, "no entry")
 
 

@@ -330,6 +330,20 @@ def _non_integer_point(v: VarietyData) -> tuple[int, ...] | None:
     return None
 
 
+def integrality_row(v: VarietyData) -> tuple[bool, str, str]:
+    """(passed, expected, actual) of the one integrality row, ``_non_integer_point``'s verdict.
+
+    ``validate`` and the ``integrality`` suite both report it; a missing
+    monomial raises the compiler's ModelError.
+    """
+    point = _non_integer_point(v)
+    if point is None:
+        return True, "integer coefficients", "ok"
+    chi = v.chi_polynomial
+    value = Fraction(_horner(chi.horner, point), chi.denom)
+    return False, "integer coefficients", f"chi({v.divisor_string(DivisorClass(point))}) = {value}"
+
+
 def _expand(
     v: VarietyData,
     table: dict[tuple[int, ...], int],
@@ -516,7 +530,7 @@ def validate(v: VarietyData) -> VerificationReport:
 
     h^0(O) = 1 has no row: the constructor refuses any other value, so no
     model that reaches this function could fail it.  "chi expansion integral"
-    is ``_non_integer_point``, and the section-count rows show chi exactly.
+    is ``integrality_row``, and the section-count rows show chi exactly.
     On a 4-fold, (K + 3L) L^3 = -2 sum_{j=0}^{3} (-1)^j C(3, j) chi(-jL), so
     an integer-valued chi makes it even for every L: parity needs no row.
     """
@@ -556,13 +570,7 @@ def validate(v: VarietyData) -> VerificationReport:
                 actual=Fraction(scaled, chi.denom),
             )
 
-    point = _non_integer_point(v)
-    if point is None:
-        actual = "ok"
-    else:
-        value = Fraction(_horner(chi.horner, point), chi.denom)
-        actual = f"chi({v.divisor_string(DivisorClass(point))}) = {value}"
-    report.add("chi expansion integral", point is None, "integer coefficients", actual)
+    report.add("chi expansion integral", *integrality_row(v))
     return report
 
 
@@ -613,6 +621,15 @@ def _ints(values, what: str) -> tuple[int, ...]:
     if type(values) is not list:
         raise InputError(f"{what} must be a JSON list, got {values!r}")
     return tuple(_int(x, f"{what} entry") for x in values)
+
+
+def _object(value, what: str) -> dict:
+    """A JSON object, or an empty one for null; a list, string, number or bool is rejected."""
+    if value is None:
+        return {}
+    if type(value) is not dict:
+        raise InputError(f"{what} must be a JSON object or null, got {value!r}")
+    return value
 
 
 def _kappa_from_json(value, dim: int):
@@ -711,18 +728,19 @@ def variety_from_json(data: dict) -> VarietyData:
             raise InputError("a 'ray' nef cone needs exactly one generator")
         _check_oracle(data.get("oracle"), dim, len(generators))
         decls = {}
-        for key, raw in (data.get("kappa_adjoint") or {}).items():
+        for key, raw in _object(data.get("kappa_adjoint"), "kappa_adjoint").items():
             # stored under the spelling declaration_for looks up
             canonical = format_divisor(parse_divisor(key, generators), generators)
             if canonical in decls:
                 raise InputError(f"kappa_adjoint keys name the class {canonical} twice")
+            if type(raw) is not dict:
+                raise InputError(f"kappa_adjoint[{key!r}] must be a JSON object, got {raw!r}")
+            kappa = _object(raw.get("kappa"), f"kappa_adjoint[{key!r}] kappa")
             fine_type = raw.get("fine_type")
             if fine_type is not None and not isinstance(fine_type, str):
                 raise InputError(f"fine_type must be a JSON string or null, got {fine_type!r}")
             decls[canonical] = AdjointDeclaration(
-                kappa={
-                    _twist(a): _kappa_from_json(k, dim) for a, k in (raw.get("kappa") or {}).items()
-                },
+                kappa={_twist(a): _kappa_from_json(k, dim) for a, k in kappa.items()},
                 fine_type=fine_type,
             )
         name = data["name"]
@@ -738,7 +756,7 @@ def variety_from_json(data: dict) -> VarietyData:
             ),
             canonical=DivisorClass(_ints(data["canonical"], "canonical")),
             c2_pairings=_table_from_json(
-                data.get("c2_pairings") or {}, generators, dim - 2, "c2 pairing"
+                _object(data.get("c2_pairings"), "c2_pairings"), generators, dim - 2, "c2 pairing"
             ),
             hodge=_ints(data["hodge"], "hodge"),
             kappa_x=_kappa_from_json(data.get("kappa_X"), dim),

@@ -96,10 +96,11 @@ def _total(capsys, *argv):
 
 
 def test_verify_draws_reach_every_drawing_suite(capsys):
-    # 10 four-folds, each with one chi expansion and one parity check per draw
-    assert _total(capsys, "--suite", "integrality", "--draws", "1") == 20
-    assert _total(capsys, "--suite", "integrality", "--draws", "3") == 60
+    # 10 four-folds, each with one g1 and one g2 closed-form check per draw
+    assert _total(capsys, "--suite", "closed", "--draws", "1") == 20
     assert _total(capsys, "--suite", "closed", "--draws", "2") == 40
+    # the P4 anchor, then one draw per 4-fold per draw
+    assert _total(capsys, "--suite", "difference", "--draws", "3") == 31
     for suite in ("serre", "c2bound"):
         assert _total(capsys, "--suite", suite, "--draws", "1") < _total(
             capsys, "--suite", suite, "--draws", "6"
@@ -107,12 +108,12 @@ def test_verify_draws_reach_every_drawing_suite(capsys):
 
 
 def test_verify_default_draws_unchanged(capsys):
-    assert _total(capsys, "--suite", "integrality") == 160
+    assert _total(capsys, "--suite", "integrality") == 10  # one lattice row per 4-fold
     assert _total(capsys, "--suite", "closed") == 200
     assert _total(capsys, "--suite", "g0") == 25
 
 
-@pytest.mark.parametrize("suite", ["jumps", "bounds"])
+@pytest.mark.parametrize("suite", ["jumps", "bounds", "integrality"])
 def test_verify_draws_rejected_where_nothing_is_drawn(capsys, suite):
     code, out, err = run(capsys, "verify", "--suite", suite, "--draws", "3")
     assert code == 2 and out == ""
@@ -120,7 +121,12 @@ def test_verify_draws_rejected_where_nothing_is_drawn(capsys, suite):
 
 
 @pytest.mark.parametrize(
-    "argv", [("--suite", "jumps", "--seed", "12345"), ("--suite", "g0", "--m-max", "1")]
+    "argv",
+    [
+        ("--suite", "jumps", "--seed", "12345"),
+        ("--suite", "integrality", "--seed", "1"),
+        ("--suite", "g0", "--m-max", "1"),
+    ],
 )
 def test_verify_arguments_no_selected_suite_reads_exit_two(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
@@ -166,7 +172,7 @@ def test_verify_deterministic(capsys):
 
 # SHA-256 of the seed-7 `verify --suite all` JSON report.  A change that
 # alters the report on purpose updates this digest and says why.
-REPORT_SHA256_SEED_7 = "59195bee342ccfeb52797c990fa0239c820b95322e5f339ae653bec12f5714bc"
+REPORT_SHA256_SEED_7 = "7685cc7d63b6b8c7d2d6aa00eccb170b56dd8ebe0b2b9140df78b7003fc7eaa8"
 
 
 @pytest.mark.parametrize(
@@ -183,7 +189,7 @@ def test_verify_all_golden_report(capsys, argv):
 
 
 # SHA-256 of the `verify --suite all` JSON report at the hold-out seed 4634.
-REPORT_SHA256_SEED_4634 = "e82b637bdaf38e9f9c9bf3475cb8f8eb2e7cfa740762c1417fff92cc5ce865c0"
+REPORT_SHA256_SEED_4634 = "60f814013101b5e5bfc3eb6fb707d81b7274ebaf345a4a7ad6ffd6d952e80d2f"
 
 
 def test_verify_all_holdout_seed_report(capsys):

@@ -268,13 +268,15 @@ def test_non_integer_valued_chi_fails_integrality(x6):
     planted = dataclasses.replace(x6, c2_pairings={(2,): 91})
     with pytest.raises(ModelError, match="non-integer coefficients"):
         chi_multi(planted, [planted.polarization])
-    report = suite_integrality([planted])
-    expansions = [c for c in report.checks if " chi expansion " in c.name]
-    assert any(c.passed is False for c in expansions)
-    assert all("non-integer" in str(c.actual) for c in expansions if c.passed is False)
-    assert all(c.passed for c in report.checks if "parity" in c.name)
+    # the suite's one row is validate's row, with the model's name
+    (row,) = suite_integrality([planted]).checks
     checks = {c.name: c for c in validate(planted).checks}
-    assert checks["chi expansion integral"].passed is False
+    expected = checks["chi expansion integral"]
+    assert row.name == "X6 chi expansion integral" and row.passed is False
+    assert (row.expected, row.actual) == (expected.expected, expected.actual) == (
+        "integer coefficients",
+        "chi(1H) = 145/24",
+    )
 
 
 def test_validate_reads_chi_on_the_lattice_without_a_polarization(x6):

@@ -1,7 +1,9 @@
 """Every command line shown in the README runs as written and exits 0, and its oracle table
-agrees with the tag parser."""
+and draw counts agree with the tag parser and the suites."""
 
+import inspect
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from secgenus import suites
 from secgenus.cli import main
 from secgenus.variety import _oracle, catalog_build, validate
 
@@ -29,6 +32,18 @@ def test_readme_lists_every_demo():
     assert CLI_LINES
     listed = sorted(Path(shlex.split(line)[1]).name for line in DEMO_LINES)
     assert listed == sorted(p.name for p in (REPO / "demos").glob("*.py"))
+
+
+def test_readme_draw_counts_match_the_suite_signatures():
+    # the list after "keeps its own count": each suite that takes draws, with its default
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"keeps its own count\s+\(([^)]*)\)", text)[1].split(",")
+    counts = [(name, int(count)) for name, count in (item.split() for item in listed)]
+    signatures = [
+        (name, inspect.signature(getattr(suites, f"suite_{name}")).parameters)
+        for name in suites.SUITE_NAMES
+    ]
+    assert counts == [(name, ps["draws"].default) for name, ps in signatures if "draws" in ps]
 
 
 def test_readme_oracle_table_matches_the_tag_parser():

@@ -629,6 +629,16 @@ def test_json_rejects_bad_polarization(name, polarization, message):
         ("X6", ("canonical",), {"a": 1}, "canonical must be a JSON list, got {'a': 1}"),
         ("X6", ("polarization",), "1", "polarization must be a JSON list, got '1'"),
         ("P2xP2", ("polarization",), {"a": 1, "b": 1}, "polarization must be a JSON list"),
+        # each read as an empty table: only null stands for one
+        ("P4", ("c2_pairings",), False, "c2_pairings must be a JSON object or null, got False"),
+        ("P4", ("c2_pairings",), [], r"c2_pairings must be a JSON object or null, got \[\]"),
+        ("P4", ("kappa_adjoint",), 0, "kappa_adjoint must be a JSON object or null, got 0"),
+        ("P4", ("kappa_adjoint",), "", "kappa_adjoint must be a JSON object or null, got ''"),
+        ("P4", ("kappa_adjoint", "1H", "kappa"), False, r"kappa_adjoint\['1H'\] kappa must be"),
+        ("P4", ("kappa_adjoint", "1H", "kappa"), [], r"kappa_adjoint\['1H'\] kappa must be"),
+        # read with .get
+        ("X6", ("kappa_adjoint", "1H"), None, r"kappa_adjoint\['1H'\] must be a JSON object"),
+        ("X6", ("kappa_adjoint", "1H"), [1], r"kappa_adjoint\['1H'\] must be a JSON object"),
     ],
 )
 def test_json_rejects_malformed_schema(name, path, value, message):
@@ -636,6 +646,28 @@ def test_json_rejects_malformed_schema(name, path, value, message):
     _set(blob, path, value)
     with pytest.raises(InputError, match=message):
         variety_from_json(blob)
+
+
+@pytest.mark.parametrize("absent", [False, True])
+@pytest.mark.parametrize(
+    "path, read",
+    [
+        (("c2_pairings",), lambda v: v.c2_pairings),
+        (("kappa_adjoint",), lambda v: v.kappa_adjoint),
+        (("kappa_adjoint", "1H", "kappa"), lambda v: v.kappa_adjoint["1H"].kappa),
+    ],
+)
+def test_json_null_or_absent_table_loads_empty(path, read, absent):
+    blob = _catalog_json("P4")
+    *parents, leaf = path
+    parent = blob
+    for key in parents:
+        parent = parent[key]
+    if absent:
+        del parent[leaf]
+    else:
+        parent[leaf] = None
+    assert read(variety_from_json(blob)) == {}
 
 
 def test_json_accepts_kappa_range_ends():
