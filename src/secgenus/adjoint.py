@@ -29,7 +29,7 @@ from .report import VerificationReport
 from .variety import DivisorClass, VarietyData, c2_pair, intersection_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DifferenceRequest:
     """Inputs for the difference formula, with positivity certified upfront."""
 
@@ -260,7 +260,7 @@ def nonvanishing_report(v: VarietyData, ell: DivisorClass, m_max: int) -> Verifi
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class C2Check:
     """Outcome of the second-Chern-class lower-bound inequalities."""
 
@@ -303,7 +303,7 @@ def c2_lower_bound_check(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CubicParams:
     """Parameters of chi(tH) = d (t-1) (t^2 + a t + b) and derived genera."""
 

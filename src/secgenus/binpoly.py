@@ -56,7 +56,7 @@ def binomial(a: int, b: int) -> int:
     return (-1) ** b * comb(b - a - 1, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinBasisPoly:
     """A polynomial in binomial-basis coordinates.
 

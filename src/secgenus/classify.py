@@ -33,7 +33,7 @@ GROUP_LOW_LABEL = "1-7.4"
 GROUP_HIGH_LABEL = "7.6-7.9"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdjunctionLabel:
     group: str
     exact: str | None

@@ -28,7 +28,7 @@ def fmt(value) -> str:
     return str(value)
 
 
-@dataclass
+@dataclass(slots=True)
 class Check:
     name: str
     passed: bool | None  # None means abstained
@@ -83,7 +83,7 @@ def _check_json(c: Check) -> str:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     title: str
     checks: list[Check] = field(default_factory=list)

@@ -26,7 +26,7 @@ from .variety import DivisorClass, VarietyData
 CLOSURE_MAX_BOUND = 10**7  # the largest bound ``closure`` allocates flags for
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemigroupSet:
     """A finite, additively closed set of positive integers up to a bound."""
 

@@ -427,6 +427,21 @@ def test_parse_error_positions(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "is not UTF-8 text"),  # a UTF-16 byte-order mark
+        (b"[" * 100_000, "is JSON nested too deep to decode"),
+    ],
+)
+def test_undecodable_variety_file_exits_two(capsys, tmp_path, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, "chi", "--variety", str(bad), "--divisor", "1H")
+    assert (code, out) == (2, "")
+    assert f"variety file {bad} {message}" in err and "Traceback" not in err
+
+
 def _classify_file(capsys, tmp_path, data, polarization):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(data), encoding="utf-8")

@@ -1,7 +1,9 @@
 import ast
 import dataclasses
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 import re
 from fractions import Fraction
@@ -227,6 +229,28 @@ def test_validate_labels_keep_the_multiple_apart(catalog, x6):
     assert names == [f"chi({m}*(1H)) matches section count" for m in (1, 2, 3)]
 
 
+@pytest.mark.parametrize(
+    "tag, canonical, multiples",
+    [
+        ("hypersurface:7", None, (2, 3)),  # K = H
+        ("hypersurface:8", None, (3,)),  # K = 2H
+        ("hypersurface:9", None, ()),  # K = 3H
+        ("p2xp2", (1, -3), (2, 3)),  # rows need m > max K_i on every generator
+        ("p2xp2", (-3, 2), (3,)),
+    ],
+)
+def test_validate_section_rows_start_above_the_canonical_class(tag, canonical, multiples):
+    # a row compares chi(m L) with the oracle only where mL - K is ample
+    v = catalog_build(tag)
+    if canonical is not None:
+        v = dataclasses.replace(v, canonical=DivisorClass(canonical))
+    report = validate(v)
+    label = v.divisor_string(v.polarization)
+    names = [c.name for c in report.checks if "section count" in c.name]
+    assert names == [f"chi({m}*({label})) matches section count" for m in multiples]
+    assert report.passed or canonical is not None
+
+
 def test_validate_catches_corrupted_form(x6):
     import dataclasses
 
@@ -375,6 +399,39 @@ def test_divisor_class_arithmetic():
     assert len({a, DivisorClass((2, -3)), a - b + b}) == 1
 
 
+def _dataclasses_in_secgenus() -> dict[str, type]:
+    classes = {}
+    for info in pkgutil.iter_modules(secgenus.__path__):
+        module = importlib.import_module(f"secgenus.{info.name}")
+        for value in vars(module).values():
+            if dataclasses.is_dataclass(value) and value.__module__ == module.__name__:
+                classes[value.__qualname__] = value
+    return classes
+
+
+def test_value_types_allocate_no_instance_dict():
+    # slotted value objects are built on every model's path; VarietyData keeps its
+    # __dict__ because its cached_property forms live there
+    classes = _dataclasses_in_secgenus()
+    assert set(classes) == {
+        "AdjointDeclaration", "AdjunctionLabel", "BinBasisPoly", "C2Check", "Check",
+        "CompiledChi", "CubicParams", "DifferenceRequest", "DivisorClass", "SemigroupSet",
+        "VarietyData", "VerificationReport",
+    }
+    for name, cls in classes.items():
+        has_dict = any("__dict__" in vars(base) for base in cls.__mro__)
+        assert has_dict == (name == "VarietyData"), name
+    v = catalog_build("p4")
+    assert v.chi_o == 1 and "chi_o" in vars(v)
+
+
+def test_positivity_tests_read_every_coordinate(p1xp3):
+    for coeffs in [(), (0,), (1,), (-1,), *product(range(-2, 3), repeat=2), (1, 1, 0)]:
+        d = DivisorClass(coeffs)
+        assert p1xp3.is_nef(d) == all(c >= 0 for c in coeffs), coeffs
+        assert p1xp3.is_ample(d) == all(c > 0 for c in coeffs), coeffs
+
+
 def test_kappa_declarations(catalog):
     x6, a4 = catalog["X6"], catalog["X6"].polarization and catalog["A4"]
     decl = x6.declaration_for(x6.polarization)
@@ -425,6 +482,12 @@ def test_json_monomial_keys(x6, p1xp3):
 def test_json_malformed():
     with pytest.raises(InputError):
         variety_from_json({"name": "broken"})
+
+
+@pytest.mark.parametrize("data, kind", [([], "list"), ("X6", "str")])
+def test_json_top_level_must_be_an_object(data, kind):
+    with pytest.raises(InputError, match=f"a variety description must be a JSON object, got {kind}"):
+        variety_from_json(data)
 
 
 def test_json_kappa_encoding(p4):
@@ -639,6 +702,10 @@ def test_json_rejects_bad_polarization(name, polarization, message):
         # read with .get
         ("X6", ("kappa_adjoint", "1H"), None, r"kappa_adjoint\['1H'\] must be a JSON object"),
         ("X6", ("kappa_adjoint", "1H"), [1], r"kappa_adjoint\['1H'\] must be a JSON object"),
+        # read with .items()
+        ("X6", ("intersections",), None, "intersections must be a JSON object, got None"),
+        ("X6", ("intersections",), [], r"intersections must be a JSON object, got \[\]"),
+        ("X6", ("intersections",), False, "intersections must be a JSON object, got False"),
     ],
 )
 def test_json_rejects_malformed_schema(name, path, value, message):
