@@ -188,15 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DIVISOR_FLAGS = ("--divisor", "-L", "--L")  # a divisor such as -1H or -H starts with "-"
+_DIVISOR_FLAGS = ("--divisor", "-L", "--L", "--set")  # a value such as -1H or -3,5 starts with "-"
 _SHORT_FLAGS = ("-h", "-i", "-L")  # the parser's own single-dash flags, never a divisor
 
 
 def _attach_negative_divisors(argv: list[str]) -> list[str]:
-    """``--divisor -H`` as ``--divisor=-H``: argparse reads a lone -H or -1H as an option.
+    """``--divisor -H`` as ``--divisor=-H``: argparse reads a lone -H, -1H or -3,5 as an option.
 
-    A value after a divisor flag joins it when it starts with one ``-`` and a digit or
-    letter and is not one of ``_SHORT_FLAGS``, so ``-L -i 1`` still lacks its value.
+    A value after one of ``_DIVISOR_FLAGS`` joins it when it starts with one ``-`` and a
+    digit or letter and is not one of ``_SHORT_FLAGS``, so ``-L -i 1`` still lacks its value.
     """
     out: list[str] = []
     for token in argv:

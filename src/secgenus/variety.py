@@ -18,12 +18,12 @@ and an oracle tag only when it fits the model's dimension and generator
 count.  Past it, arithmetic trusts its inputs and coerces nothing.
 
 Intersection monomials are keyed by exponent tuples over the generator
-list, so symmetry of the form is structural.  A missing monomial is a
-hard model error, never a silent zero.  Each model compiles two
-polynomials in the coordinates of D once, on first use, with one compiler
-(``_compile``): chi (``chi_polynomial``, the Todd closed form of ``_TODD``)
-and D^n (``top_form``).  Both read whole tables, so for them a missing
-monomial is an error on every class; ``genus.g1_closed`` reads
+list, so symmetry of the form is structural.  Tables are complete by
+construction: ``VarietyData`` refuses a table that lacks a monomial of its
+degree or holds any other key, so no lookup past the constructor can miss.
+Each model compiles two polynomials in the coordinates of D once, on first
+use, with one compiler (``_compile``): chi (``chi_polynomial``, the Todd
+closed form of ``_TODD``) and D^n (``top_form``); ``genus.g1_closed`` reads
 ``intersection_number`` for every triple.  ``validate`` reads only chi: its lattice
 rule already makes 2g(L) - 2 even on a 4-fold (the identity is in its docstring).
 
@@ -109,10 +109,24 @@ class VarietyData:
             raise ModelError("h^0(O) must be 1 (connectedness)")
         if any(h < 0 for h in self.hodge):
             raise InputError("Hodge numbers must be non-negative")
-        if len(self.canonical.coeffs) != len(self.generators):
+        g = len(self.generators)
+        if len(self.canonical.coeffs) != g:
             raise InputError("canonical class has wrong length")
+        for what, table, degree in (
+            ("intersection", self.intersection_form, self.dim),
+            ("c2", self.c2_pairings, self.dim - 2),
+        ):
+            monomials = _monomials(g, degree) if degree >= 0 else ()
+            missing = next((m for m in monomials if m not in table), None)
+            if missing is not None:
+                raise InputError(f"{self.name} {what} table is missing monomial {missing}")
+            if len(table) != len(monomials):
+                key = next(k for k in table if k not in monomials)
+                raise InputError(
+                    f"{self.name} {what} table key {key} is not a monomial of degree {degree}"
+                )
         if self.polarization is not None:
-            if len(self.polarization.coeffs) != len(self.generators):
+            if len(self.polarization.coeffs) != g:
                 raise InputError("polarization has wrong length")
             if not self.is_ample(self.polarization):
                 raise InputError(f"polarization {self.polarization.coeffs} is not ample")
@@ -262,11 +276,6 @@ def _check_length(v: VarietyData, *classes: DivisorClass) -> None:
             )
 
 
-def _missing_monomial(v: VarietyData, what: str, key: tuple[int, ...]) -> ModelError:
-    """The error for a pairing-table lookup of a monomial the model does not give."""
-    return ModelError(f"{v.name} {what} table is missing monomial {key}")
-
-
 # dim -> (denominator, terms of denom * (chi(D) - chi(O))) for ``_compile``
 _TODD = {
     1: (1, ((1, False, 0),)),
@@ -291,9 +300,8 @@ def _compile(v: VarietyData, terms: tuple, constant: int = 0) -> tuple:
     as in ``_TODD``.  The coefficient of x^e in c_1^j D^(rest) (or c_2 c_1^j D^(rest)) is
     ``_multinomial(e)`` * F_j(e), where F_0(e) = table[e] and the form of each further factor
     of c_1 contracts the previous one, F_j(e) = sum_i c_1[i] * F_(j-1)(e + u_i).  So each
-    table is read once, at j = 0, within each table the terms must come with j = 0, 1, 2
-    in this order, and no divisor classes are built.  A monomial missing from a table
-    raises the same ModelError as the pairing functions would.
+    table is read once, at j = 0 (F_0 is the table itself), within each table the terms
+    must come with j = 0, 1, 2 in this order, and no divisor classes are built.
     """
     g = len(v.generators)
     c1 = [(i, -k) for i, k in enumerate(v.canonical.coeffs) if k]
@@ -301,13 +309,7 @@ def _compile(v: VarietyData, terms: tuple, constant: int = 0) -> tuple:
     for weight, with_c2, j in terms:
         degree = v.dim - 2 * with_c2 - j
         if j == 0:
-            table = v.c2_pairings if with_c2 else v.intersection_form
-            what = "c2" if with_c2 else "intersection"
-            form = {}
-            for key in _monomials(g, degree):
-                if key not in table:
-                    raise _missing_monomial(v, what, key)
-                form[key] = table[key]
+            form = v.c2_pairings if with_c2 else v.intersection_form
         else:
             form = {
                 e: sum([c * form[(*e[:i], e[i] + 1, *e[i + 1 :])] for i, c in c1])
@@ -334,8 +336,7 @@ def _non_integer_point(v: VarietyData) -> tuple[int, ...] | None:
 def integrality_row(v: VarietyData) -> tuple[bool, str, str]:
     """(passed, expected, actual) of the one integrality row, ``_non_integer_point``'s verdict.
 
-    ``validate`` and the ``integrality`` suite both report it; a missing
-    monomial raises the compiler's ModelError.
+    ``validate`` and the ``integrality`` suite both report it.
     """
     point = _non_integer_point(v)
     if point is None:
@@ -345,12 +346,7 @@ def integrality_row(v: VarietyData) -> tuple[bool, str, str]:
     return False, "integer coefficients", f"chi({v.divisor_string(DivisorClass(point))}) = {value}"
 
 
-def _expand(
-    v: VarietyData,
-    table: dict[tuple[int, ...], int],
-    classes: list[DivisorClass],
-    what: str,
-) -> int:
+def _expand(v: VarietyData, table: dict[tuple[int, ...], int], classes: list[DivisorClass]) -> int:
     """Multilinear expansion of a pairing table against divisor classes."""
     n_gens = len(v.generators)
     supports = []
@@ -365,10 +361,7 @@ def _expand(
         for g, c in picks:
             coeff *= c
             exps[g] += 1
-        key = tuple(exps)
-        if key not in table:
-            raise _missing_monomial(v, what, key)
-        total += coeff * table[key]
+        total += coeff * table[tuple(exps)]
     return total
 
 
@@ -376,7 +369,7 @@ def intersection_number(v: VarietyData, classes: list[DivisorClass]) -> int:
     """Product of exactly dim(V) divisor classes against the intersection form."""
     if len(classes) != v.dim:
         raise InputError(f"need exactly {v.dim} classes, got {len(classes)}")
-    return _expand(v, v.intersection_form, classes, "intersection")
+    return _expand(v, v.intersection_form, classes)
 
 
 def c2_pair(v: VarietyData, classes: list[DivisorClass]) -> int:
@@ -385,7 +378,7 @@ def c2_pair(v: VarietyData, classes: list[DivisorClass]) -> int:
         raise InputError("c_2 pairings require dimension >= 2")
     if len(classes) != v.dim - 2:
         raise InputError(f"need exactly {v.dim - 2} classes, got {len(classes)}")
-    return _expand(v, v.c2_pairings, classes, "c2")
+    return _expand(v, v.c2_pairings, classes)
 
 
 # -- catalog ----------------------------------------------------------------
@@ -529,31 +522,14 @@ def h0_exact(v: VarietyData, d: DivisorClass) -> int:
 def validate(v: VarietyData) -> VerificationReport:
     """Consistency checks; a failing report invalidates downstream results.
 
-    h^0(O) = 1 has no row: the constructor refuses any other value, so no
-    model that reaches this function could fail it.  "chi expansion integral"
-    is ``integrality_row``, and the section-count rows show chi exactly.
+    h^0(O) = 1 and complete tables have no row: the constructor refuses any
+    other model, so none that reaches this function could fail them.  "chi
+    expansion integral" is ``integrality_row``, and the section-count rows
+    show chi exactly.
     On a 4-fold, (K + 3L) L^3 = -2 sum_{j=0}^{3} (-1)^j C(3, j) chi(-jL), so
     an integer-valued chi makes it even for every L: parity needs no row.
     """
     report = VerificationReport(title=f"validate:{v.name}")
-    missing = [m for m in _monomials(len(v.generators), v.dim) if m not in v.intersection_form]
-    report.add(
-        "intersection form complete",
-        not missing,
-        expected="all degree-n monomials",
-        actual=f"missing {missing}" if missing else "complete",
-    )
-    if v.dim >= 3:
-        missing2 = [m for m in _monomials(len(v.generators), v.dim - 2) if m not in v.c2_pairings]
-        report.add(
-            "c2 pairings complete",
-            not missing2,
-            expected="all degree-(n-2) monomials",
-            actual=f"missing {missing2}" if missing2 else "complete",
-        )
-    if not report.passed:
-        return report  # every check below reads the whole tables
-
     chi = v.chi_polynomial
     if v.h0_oracle is not None:
         g = len(v.generators)
@@ -731,8 +707,11 @@ def variety_from_json(data: dict) -> VarietyData:
         _check_oracle(data.get("oracle"), dim, len(generators))
         decls = {}
         for key, raw in _object(data.get("kappa_adjoint"), "kappa_adjoint").items():
+            polarization = parse_divisor(key, generators)
+            if min(polarization.coeffs) <= 0:  # classify refuses such an L before any lookup
+                raise InputError(f"kappa_adjoint key {key!r} is not an ample class")
             # stored under the spelling declaration_for looks up
-            canonical = format_divisor(parse_divisor(key, generators), generators)
+            canonical = format_divisor(polarization, generators)
             if canonical in decls:
                 raise InputError(f"kappa_adjoint keys name the class {canonical} twice")
             if type(raw) is not dict:

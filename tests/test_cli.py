@@ -481,6 +481,7 @@ def test_fine_type_must_be_a_string_or_null(capsys, tmp_path, x6):
         (("semigroup", "--set", "4,5,7", "--coin", "20"), "two generators"),
         (("semigroup", "--set", "4,5", "--bound", "100000000000"), "above the limit"),
         (("semigroup", "--set", "100000,100001", "--threshold"), "above the limit"),
+        (("semigroup", "--set", "-3,5"), "generators must be positive"),  # argparse read an option
     ],
 )
 def test_semigroup_usage_errors_exit_2(capsys, argv, message):

@@ -1,14 +1,16 @@
 import dataclasses
+import json
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
 
 import pytest
 
 from secgenus import hrr
 from secgenus.binpoly import coefficients_from_oracle
+from secgenus.cli import main
 from secgenus.errors import AbstainError, InputError, ModelError
 from secgenus.genus import g1_closed
 from secgenus.hrr import chi_divisor, chi_multi, h0_certified
@@ -19,6 +21,7 @@ from secgenus.variety import (
     DivisorClass,
     VarietyData,
     _horner,
+    _monomial_to_string,
     _monomials,
     _nest,
     c2_pair,
@@ -27,6 +30,7 @@ from secgenus.variety import (
     intersection_number,
     validate,
     variety_from_json,
+    variety_to_json,
 )
 
 
@@ -249,18 +253,59 @@ def test_wrong_length_class_rejected(catalog, x6):
             chi_multi(v, [v.polarization, d][: v.dim])
 
 
-def test_missing_monomial_names_it(catalog):
-    p2xp2 = catalog["P2xP2"]
-    form = {exps: val for exps, val in p2xp2.intersection_form.items() if exps != (4, 0)}
-    broken = dataclasses.replace(p2xp2, intersection_form=form)
-    with pytest.raises(ModelError, match=r"missing monomial \(4, 0\)"):
-        chi_divisor(broken, broken.divisor("1a+1b"))
-    with pytest.raises(ModelError, match=r"missing monomial \(4, 0\)"):
-        chi_multi(broken, [broken.divisor("1b")])
-    report = validate(broken)
-    assert not report.passed
-    failed = {c.name: c.actual for c in report.checks if c.passed is False}
-    assert failed == {"intersection form complete": "missing [(4, 0)]"}
+def _refusal(build, *args, **kwargs) -> str:
+    with pytest.raises(InputError) as raised:
+        build(*args, **kwargs)
+    return str(raised.value)
+
+
+# (field, JSON member, name in messages, name at the JSON boundary, degree below dim)
+_TABLES = (
+    ("intersection_form", "intersections", "intersection", "intersection", 0),
+    ("c2_pairings", "c2_pairings", "c2", "c2 pairing", 2),
+)
+
+
+def test_missing_monomial_names_it(capsys, tmp_path, catalog):
+    # a table holds exactly the monomials of its degree: every single-key drop and a key
+    # of the wrong degree are refused where the model is built, on every route to it
+    path = tmp_path / "model.json"
+    refused = 0
+    for v in [*catalog.values(), _p1xp1xp2()]:
+        fields = {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
+        argv = ["chi", "--variety", str(path), "--divisor", v.divisor_string(v.polarization)]
+        for field, member, what, spelled, below in _TABLES:
+            table, degree = getattr(v, field), v.dim - below
+            wrong = (degree + 1,) + (0,) * (len(v.generators) - 1)
+            cases = [
+                (key, {k: x for k, x in table.items() if k != key}, f"is missing monomial {key}")
+                for key in table
+            ]
+            extra = f"key {wrong} is not a monomial of degree {degree}"
+            cases.append((wrong, {**table, wrong: 0}, extra))
+            for key, changed, fault in cases:
+                message = f"{v.name} {what} table {fault}"
+                assert _refusal(VarietyData, **{**fields, field: changed}) == message
+                assert _refusal(dataclasses.replace, v, **{field: changed}) == message
+                blob = variety_to_json(v)
+                spelling = _monomial_to_string(key, v.generators)
+                if key == wrong:  # the boundary names the key as the file spells it
+                    blob[member][spelling] = 0
+                    rule = f"has degree {degree + 1}, not {degree}"
+                    message = f"{spelled} monomial {spelling!r} {rule}"
+                else:
+                    del blob[member][spelling]
+                assert _refusal(variety_from_json, blob) == message
+                path.write_text(json.dumps(blob), encoding="utf-8")
+                code = main(argv)
+                out, err = capsys.readouterr()
+                assert (code, out, err) == (2, "", f"input error: {message}\n"), (v.name, key)
+                refused += 1
+    assert refused == 37 + 21 + 2 * 14  # catalog keys, P1xP1xP2 keys, a wrong key per table
+    x6 = catalog["X6"]  # a key of the right degree over the wrong generator count
+    assert _refusal(dataclasses.replace, x6, intersection_form={(4,): 6, (2, 2): 6}) == (
+        "X6 intersection table key (2, 2) is not a monomial of degree 4"
+    )
 
 
 def test_non_integer_valued_chi_fails_integrality(x6):
@@ -324,7 +369,7 @@ def _monomial_key(exps, names):
     return " ".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e)
 
 
-def _p1xp1xp2(drop=None, oracle=None, c2_shift=0):
+def _p1xp1xp2(oracle=None, c2_shift=0):
     """P1 x P1 x P2 with hyperplane classes a, b, c: a^2 = b^2 = c^3 = 0, a b c^2 = 1.
 
     ``c2_shift`` is added to the pairing of c_2 with a b.
@@ -339,7 +384,7 @@ def _p1xp1xp2(drop=None, oracle=None, c2_shift=0):
             "dim": 4,
             "generators": list(names),
             "intersections": {
-                _monomial_key(e, names): int(e == (1, 1, 2)) for e in quartics if e != drop
+                _monomial_key(e, names): int(e == (1, 1, 2)) for e in quartics
             },
             "canonical": [-2, -2, -3],
             "c2_pairings": c2,
@@ -409,17 +454,6 @@ def test_three_generator_chi_multi_matches_reference_interpolation():
                 assert poly.eval(point) == reference(*point), (bundles, point)
 
 
-def test_three_generator_missing_monomial_message():
-    broken = _p1xp1xp2(drop=(1, 1, 2))
-    message = "P1xP1xP2 intersection table is missing monomial (1, 1, 2)"
-    with pytest.raises(ModelError) as raised:
-        chi_divisor(broken, broken.divisor("1a+1b+1c"))
-    assert str(raised.value) == message
-    with pytest.raises(ModelError) as raised:
-        chi_multi(broken, [broken.divisor("1c"), broken.divisor("1a")])
-    assert str(raised.value) == message
-
-
 def reference_compile_chi(v) -> CompiledChi:
     """``chi_polynomial`` built through the pairing functions, on [c_1] * j + generator lists."""
     g = len(v.generators)
@@ -436,15 +470,6 @@ def reference_compile_chi(v) -> CompiledChi:
             value = weight * multinomial * pair(v, [c1] * j + [units[i] for i in combo])
             terms[exps] = terms.get(exps, 0) + value
     return CompiledChi(denom, _nest(terms, g))
-
-
-def _without(v, dropped):
-    """v with the (table field, monomial) pairs in ``dropped`` left out of its tables."""
-    tables = {}
-    for field in ("intersection_form", "c2_pairings"):
-        gone = {key for f, key in dropped if f == field}
-        tables[field] = {k: x for k, x in getattr(v, field).items() if k not in gone}
-    return dataclasses.replace(v, **tables)
 
 
 def test_top_form_matches_intersection_number(catalog):
@@ -499,79 +524,9 @@ def test_g1_closed_at_equal_classes_matches_trilinear_expansion(catalog):
         g1_closed(x6, wrong, wrong, wrong)
 
 
-def test_g1_closed_at_equal_classes_raises_only_where_its_product_reads_a_gap(catalog):
-    # g_1(A, A, A) reads the table through intersection_number, as g_1(A, B, C) does:
-    # it raises that product's error where the product reads the missing monomial,
-    # and elsewhere gives the complete model's value
-    outcomes = set()
-    for v in [*catalog.values(), _p1xp1xp2()]:
-        if v.dim != 4:
-            continue
-        for key in v.intersection_form:
-            broken = _without(v, [("intersection_form", key)])
-            for coeffs in product(range(-1, 2), repeat=len(v.generators)):
-                a = DivisorClass(coeffs)
-                try:
-                    intersection_number(broken, [broken.canonical + 3 * a, a, a, a])
-                except ModelError as gap:
-                    with pytest.raises(ModelError) as raised:
-                        g1_closed(broken, a, a, a)
-                    assert str(raised.value) == str(gap), (v.name, key, coeffs)
-                    outcomes.add("raised")
-                else:
-                    assert g1_closed(broken, a, a, a) == g1_closed(v, a, a, a), (v.name, key)
-                    outcomes.add("value")
-    assert outcomes == {"raised", "value"}
-
-
-def test_nef_and_big_raises_on_any_missing_intersection_monomial(catalog):
-    # the D^n form reads the whole table, so every nef class hits the gap,
-    # not only the classes whose support touches it
-    for v in [*catalog.values(), _p1xp1xp2()]:
-        for key in v.intersection_form:
-            broken = _without(v, [("intersection_form", key)])
-            assert not broken.is_nef_and_big(-broken.polarization)  # not nef: no form needed
-            for d in (broken.polarization, broken.zero()):
-                with pytest.raises(ModelError) as raised:
-                    broken.is_nef_and_big(d)
-                assert str(raised.value) == f"{v.name} intersection table is missing monomial {key}"
-
-
-def test_top_form_reads_only_the_intersection_table(catalog):
-    # D^n has no c_2 term: a gap in the c_2 table leaves the form and the
-    # nef-and-big test as on the complete model, while chi (from dimension 3) raises
-    for v in catalog.values():
-        for key in v.c2_pairings:
-            broken = _without(v, [("c2_pairings", key)])
-            assert broken.top_form == v.top_form, (v.name, key)
-            assert broken.is_nef_and_big(broken.polarization), (v.name, key)
-            if v.dim < 3:
-                assert broken.chi_polynomial == v.chi_polynomial, (v.name, key)
-                continue
-            with pytest.raises(ModelError) as raised:
-                chi_divisor(broken, broken.polarization)
-            assert str(raised.value) == f"{v.name} c2 table is missing monomial {key}"
-
-
 def test_compile_chi_matches_pairing_reference(catalog):
-    # every monomial lookup the reference makes, chi_polynomial makes in the same
-    # order: equal forms, and the same error text for one or two missing monomials
-    raised = 0
     for v in [*catalog.values(), _p1xp1xp2()]:
         assert v.chi_polynomial == reference_compile_chi(v), v.name
-        keys = [(f, key) for f in ("intersection_form", "c2_pairings") for key in getattr(v, f)]
-        for dropped in [*combinations(keys, 1), *combinations(keys, 2)]:
-            broken = _without(v, dropped)
-            try:
-                want = reference_compile_chi(broken)
-            except ModelError as exc:
-                with pytest.raises(ModelError) as got:
-                    chi_divisor(broken, broken.polarization)
-                assert str(got.value) == str(exc), (v.name, dropped)
-                raised += 1
-            else:
-                assert broken.chi_polynomial == want, (v.name, dropped)
-    assert raised > 300
 
 
 def test_compile_chi_matches_pairing_reference_on_random_tables():

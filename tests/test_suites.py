@@ -29,7 +29,7 @@ def _x6_c2_91(x6):
 
 
 def _p2xp2_without_40(catalog):
-    # every chi and every pairing through (4, 0) raises ModelError on this model
+    # refused when built: no suite can be given a model with a gap in a table
     p2xp2 = catalog["P2xP2"]
     form = {exps: val for exps, val in p2xp2.intersection_form.items() if exps != (4, 0)}
     return dataclasses.replace(p2xp2, intersection_form=form)
@@ -105,18 +105,10 @@ def test_suite_records_model_error_as_failed_check(x6, name):
     assert all("on X6 is not an integer" in c.actual for c in failed)
 
 
-def test_every_suite_records_a_missing_monomial_as_failed_checks(catalog):
-    broken = _p2xp2_without_40(catalog)
-    for name in ("difference", "additivity", "integrality", "closed", "c2bound", "g0", "serre"):
-        report = getattr(suites, f"suite_{name}")([broken])
-        assert report.failures, name
-        assert all("missing monomial (4, 0)" in c.actual for c in report.failures), name
-
-
-# SHA-256 of each suite's JSON report on the two planted models above, each
-# suite given those of draws=4, seed=5 and m_max=6 it takes.  They pin the
-# name, inputs, expected and actual text of every failure record.  jumps and
-# bounds give no check on P2xP2 (see test_suite_without_usable_entry_abstains).
+# SHA-256 of each suite's JSON report on the X6 plant above, each suite given
+# those of draws=4, seed=5 and m_max=6 it takes.  They pin the name, inputs,
+# expected and actual text of every failure record.  The P2xP2 plant is refused
+# when built (None), so no suite reports on it; jumps and bounds never had it.
 PLANTED_SHA256 = {
     ("X6", "difference"): "60e542ef89936e8168ebcdb5c6a968d28fbbfaf99b40c904ac958b7574b3af9e",
     ("X6", "jumps"): "808e0b5012aa8c5782e1c0b9b00af16f8e7ee20c3b9f242d38262cb672e69eac",
@@ -127,19 +119,21 @@ PLANTED_SHA256 = {
     ("X6", "c2bound"): "8979e62cb013a1088caa837f0c02a723909f28f80cd92fca34e92f27f3ca4cd5",
     ("X6", "g0"): "93d364d4369ebd7202e536291629eb8597276efe1063cd14b371518a33f0b1ef",
     ("X6", "serre"): "971ac476fbf96524ac57e5ea9a41e4ffa741c7066b60ab4a2a5b124a6a4bf6b8",
-    ("P2xP2", "difference"): "9bec0bc224256055d92f5ec981788a095cfceb738c2033f09e6f9da1c6de5bcc",
-    ("P2xP2", "additivity"): "04fe963b632715812a9f9622a646fec12ccbb934fe7835abd45972796a489a54",
-    ("P2xP2", "integrality"): "4c7da114908d24b1c9bf3f7ff725435cae7d1efb5ad91b0b3774f3c63fa389db",
-    ("P2xP2", "closed"): "8349678bb7de30a197515796a5279574e12763e01001d0ad8dfcd11ca16c910a",
-    ("P2xP2", "c2bound"): "7396bdeba827f80546781143540a558c3850688284421ef63ea13aa7ddbc7131",
-    ("P2xP2", "g0"): "f836724a7be08184c5c91162826d5887d5b10bb09a91fcf84a7dae7e5dd5bad0",
-    ("P2xP2", "serre"): "a8962fd6f762c7f40e6e629721b44a5958657b7b5fdd3bfa16caa335e66f8e3b",
+    **{
+        ("P2xP2", name): None
+        for name in ("difference", "additivity", "integrality", "closed", "c2bound", "g0", "serre")
+    },
 }
 
 
 @pytest.mark.parametrize("model, name", sorted(PLANTED_SHA256))
 def test_planted_model_reports_are_pinned(catalog, model, name):
-    planted = _x6_c2_91(catalog["X6"]) if model == "X6" else _p2xp2_without_40(catalog)
+    if PLANTED_SHA256[model, name] is None:
+        refusal = r"^P2xP2 intersection table is missing monomial \(4, 0\)$"
+        with pytest.raises(InputError, match=refusal):
+            _p2xp2_without_40(catalog)
+        return
+    planted = _x6_c2_91(catalog["X6"])
     suite = getattr(suites, f"suite_{name}")
     takes = inspect.signature(suite).parameters
     kwargs = {k: x for k, x in {"draws": 4, "seed": 5, "m_max": 6}.items() if k in takes}
@@ -259,8 +253,8 @@ def test_additivity_default_is_the_verify_count():
 _OFFSETS = (-24, -3, -2, -1, 1, 2, 3, 24)
 
 
-def _single_entry_plants(catalog, names, fields=("intersection_form", "c2_pairings"), drop=False):
-    """Each model with one monomial of one table changed by each of _OFFSETS (and dropped)."""
+def _single_entry_plants(catalog, names, fields=("intersection_form", "c2_pairings")):
+    """Each model with one monomial of one table changed by each of _OFFSETS."""
     plants = []
     for name in names:
         v = catalog[name]
@@ -270,9 +264,6 @@ def _single_entry_plants(catalog, names, fields=("intersection_form", "c2_pairin
                 for offset in _OFFSETS:
                     planted = {**table, key: table[key] + offset}
                     plants.append(dataclasses.replace(v, **{field: planted}))
-                if drop:
-                    kept = {k: x for k, x in table.items() if k != key}
-                    plants.append(dataclasses.replace(v, **{field: kept}))
     return plants
 
 
@@ -306,11 +297,24 @@ def test_lattice_rule_decides_chi_expansions_as_chi_multi_does(catalog):
 
 
 def test_integrality_kills_at_least_what_its_seeded_draws_killed(catalog):
-    # every monomial of every entry moved by each of _OFFSETS, or dropped: 333 plants.
-    # The suite's former 8 chi-expansion and 8 parity draws per entry failed 236.
-    corpus = _single_entry_plants(catalog, catalog, drop=True)
-    assert len(corpus) == 333
-    assert sum(not suite_integrality([v]).passed for v in corpus) >= 236
+    # every monomial of every entry moved by each of _OFFSETS (296 plants), or dropped
+    # (37).  The suite's former 8 chi-expansion and 8 parity draws per entry killed 236
+    # of these 333; now the suite fails 200 shifts and the constructor refuses every drop.
+    shifted = _single_entry_plants(catalog, catalog)
+    assert len(shifted) == 296
+    failed = sum(not suite_integrality([v]).passed for v in shifted)
+    assert failed == 200
+    refused = 0
+    for v in catalog.values():
+        for field, what in (("intersection_form", "intersection"), ("c2_pairings", "c2")):
+            table = getattr(v, field)
+            for key in table:
+                kept = {k: x for k, x in table.items() if k != key}
+                with pytest.raises(InputError, match=rf"^{v.name} {what} table is missing"):
+                    dataclasses.replace(v, **{field: kept})
+                refused += 1
+    assert refused == 37
+    assert failed + refused >= 236
 
 
 def _integer_on_polarization_ray(v):
@@ -335,7 +339,7 @@ def test_validate_fails_integrality_on_exactly_the_plants_off_the_lattice(catalo
     assert len(ray_only) == 12 and set(ray_only) == {"P1xP3", "P2xP2"}
 
 
-def test_no_suite_calls_chi_multi(monkeypatch, catalog, x6):
+def test_no_suite_calls_chi_multi(monkeypatch, x6):
     # verify decides integrality on the lattice; chi_multi serves chi --expand
     original = hrr.chi_multi
 
@@ -346,9 +350,8 @@ def test_no_suite_calls_chi_multi(monkeypatch, catalog, x6):
         if name.startswith("secgenus") and getattr(module, "chi_multi", None) is original:
             monkeypatch.setattr(module, "chi_multi", refused)
     assert run_suites(list(SUITE_NAMES)).passed
-    for planted in (_x6_c2_91(x6), _p2xp2_without_40(catalog)):
-        for name in SUITE_NAMES:
-            getattr(suites, f"suite_{name}")([planted])
+    for name in SUITE_NAMES:
+        getattr(suites, f"suite_{name}")([_x6_c2_91(x6)])
     failed = suite_integrality([_x6_c2_91(x6)]).failures
     assert [(c.name, c.actual) for c in failed] == [
         ("X6 chi expansion integral", "chi(1H) = 145/24")

@@ -706,6 +706,12 @@ def test_json_rejects_bad_polarization(name, polarization, message):
         ("X6", ("intersections",), None, "intersections must be a JSON object, got None"),
         ("X6", ("intersections",), [], r"intersections must be a JSON object, got \[\]"),
         ("X6", ("intersections",), False, "intersections must be a JSON object, got False"),
+        # loaded, then never read: classify refuses a non-ample L before any lookup
+        ("X6", ("kappa_adjoint", "-1H"), {"kappa": {}}, "key '-1H' is not an ample class"),
+        ("P2xP2", ("kappa_adjoint", "0a+1b"), {"kappa": {}}, r"key '0a\+1b' is not an ample"),
+        # null is an empty table, complete only for a curve
+        ("P4", ("c2_pairings",), None, r"^P4 c2 table is missing monomial \(2,\)$"),
+        ("P2", ("c2_pairings",), None, r"^P2 c2 table is missing monomial \(0,\)$"),
     ],
 )
 def test_json_rejects_malformed_schema(name, path, value, message):
@@ -725,7 +731,7 @@ def test_json_rejects_malformed_schema(name, path, value, message):
     ],
 )
 def test_json_null_or_absent_table_loads_empty(path, read, absent):
-    blob = _catalog_json("P4")
+    blob = _catalog_json("P1")  # a curve's c2 table is empty
     *parents, leaf = path
     parent = blob
     for key in parents:
