@@ -454,6 +454,18 @@ def test_three_generator_chi_multi_matches_reference_interpolation():
                 assert poly.eval(point) == reference(*point), (bundles, point)
 
 
+def test_three_generator_missing_monomial_message():
+    # the table without a b c^2 never becomes a model, so no chi is asked of it:
+    # the refusal names the monomial, whether built directly or read from JSON
+    v = _p1xp1xp2()
+    message = "P1xP1xP2 intersection table is missing monomial (1, 1, 2)"
+    gapped = {k: x for k, x in v.intersection_form.items() if k != (1, 1, 2)}
+    assert _refusal(dataclasses.replace, v, intersection_form=gapped) == message
+    blob = variety_to_json(v)
+    del blob["intersections"]["a b c^2"]
+    assert _refusal(variety_from_json, blob) == message
+
+
 def reference_compile_chi(v) -> CompiledChi:
     """``chi_polynomial`` built through the pairing functions, on [c_1] * j + generator lists."""
     g = len(v.generators)
