@@ -18,10 +18,10 @@ abstains only when the positivity of its inputs cannot be certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from ._value import Frozen
 from .errors import AbstainError, InputError
 from .genus import chi_H_table, genus_from_chi_H
 from .hrr import h0_certified
@@ -29,13 +29,17 @@ from .report import VerificationReport
 from .variety import DivisorClass, VarietyData, c2_pair, intersection_number
 
 
-@dataclass(frozen=True, slots=True)
-class DifferenceRequest:
+class DifferenceRequest(Frozen):
     """Inputs for the difference formula, with positivity certified upfront."""
 
-    variety: VarietyData
-    big_bundles: tuple[DivisorClass, ...]
-    nef_bundle: DivisorClass
+    __slots__ = __match_args__ = ("variety", "big_bundles", "nef_bundle")
+
+    def __init__(
+        self, variety: VarietyData, big_bundles: tuple[DivisorClass, ...], nef_bundle: DivisorClass
+    ) -> None:
+        object.__setattr__(self, "variety", variety)
+        object.__setattr__(self, "big_bundles", big_bundles)
+        object.__setattr__(self, "nef_bundle", nef_bundle)
 
     @staticmethod
     def build(
@@ -260,15 +264,19 @@ def nonvanishing_report(v: VarietyData, ell: DivisorClass, m_max: int) -> Verifi
     return report
 
 
-@dataclass(frozen=True, slots=True)
-class C2Check:
+class C2Check(Frozen):
     """Outcome of the second-Chern-class lower-bound inequalities."""
 
-    lhs: int
-    rhs_main: Fraction
-    rhs_alt: Fraction
-    holds_main: bool
-    holds_alt: bool
+    __slots__ = __match_args__ = ("lhs", "rhs_main", "rhs_alt", "holds_main", "holds_alt")
+
+    def __init__(
+        self, lhs: int, rhs_main: Fraction, rhs_alt: Fraction, holds_main: bool, holds_alt: bool
+    ) -> None:
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs_main", rhs_main)
+        object.__setattr__(self, "rhs_alt", rhs_alt)
+        object.__setattr__(self, "holds_main", holds_main)
+        object.__setattr__(self, "holds_alt", holds_alt)
 
 
 def c2_lower_bound_check(
@@ -303,17 +311,28 @@ def c2_lower_bound_check(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class CubicParams:
+class CubicParams(Frozen):
     """Parameters of chi(tH) = d (t-1) (t^2 + a t + b) and derived genera."""
 
-    d: Fraction
-    a: Fraction
-    b: Fraction
-    g1: int
-    g2: int
-    gate_value: Fraction  # 2 d (2a + 1); non-negative iff a >= -1/2
-    gate_holds: bool
+    __slots__ = __match_args__ = ("d", "a", "b", "g1", "g2", "gate_value", "gate_holds")
+
+    def __init__(
+        self,
+        d: Fraction,
+        a: Fraction,
+        b: Fraction,
+        g1: int,
+        g2: int,
+        gate_value: Fraction,  # 2 d (2a + 1); non-negative iff a >= -1/2
+        gate_holds: bool,
+    ) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
+        object.__setattr__(self, "gate_value", gate_value)
+        object.__setattr__(self, "gate_holds", gate_holds)
 
 
 def cubic_params(chi_coeffs: tuple[int, int, int, int], h1: int) -> CubicParams:

@@ -34,13 +34,13 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations_with_replacement, product
 from math import comb, prod
-from typing import Callable, Sequence
 
+from ._value import Frozen
 from .errors import InputError, OracleDegreeError
 
 MultiIndex = tuple[int, ...]
@@ -56,37 +56,36 @@ def binomial(a: int, b: int) -> int:
     return (-1) ** b * comb(b - a - 1, b)
 
 
-@dataclass(frozen=True, slots=True)
-class BinBasisPoly:
+class BinBasisPoly(Frozen):
     """A polynomial in binomial-basis coordinates.
 
     Invariants: every stored multi-index has length ``arity`` and total
     degree at most ``max_degree``; zero coefficients are dropped.
     """
 
-    arity: int
-    max_degree: int
-    coeffs: dict[MultiIndex, Fraction] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("arity", "max_degree", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise InputError(f"arity must be positive, got {self.arity}")
-        if self.max_degree < 0:
-            raise InputError(f"max_degree must be non-negative, got {self.max_degree}")
+    def __init__(
+        self, arity: int, max_degree: int, coeffs: dict[MultiIndex, Fraction] | None = None
+    ) -> None:
+        if arity < 1:
+            raise InputError(f"arity must be positive, got {arity}")
+        if max_degree < 0:
+            raise InputError(f"max_degree must be non-negative, got {max_degree}")
         cleaned: dict[MultiIndex, Fraction] = {}
-        for index, value in self.coeffs.items():
-            if len(index) != self.arity:
-                raise InputError(f"multi-index {index} has wrong length for arity {self.arity}")
+        for index, value in (coeffs or {}).items():
+            if len(index) != arity:
+                raise InputError(f"multi-index {index} has wrong length for arity {arity}")
             if min(index) < 0:
                 raise InputError(f"multi-index {index} has a negative entry")
-            if sum(index) > self.max_degree:
-                raise InputError(
-                    f"multi-index {index} exceeds total degree bound {self.max_degree}"
-                )
+            if sum(index) > max_degree:
+                raise InputError(f"multi-index {index} exceeds total degree bound {max_degree}")
             if not isinstance(value, Fraction):
                 value = Fraction(value)
             if value != 0:
                 cleaned[index] = value
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "max_degree", max_degree)
         object.__setattr__(self, "coeffs", cleaned)
 
     def eval(self, point: list[int] | tuple[int, ...]) -> Fraction:

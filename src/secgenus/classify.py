@@ -18,8 +18,7 @@ low-Kodaira sublist, which this toolkit does not interpret further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Frozen
 from .errors import AbstainError, InputError
 from .report import VerificationReport
 from .variety import NEG_INF, AdjointDeclaration, DivisorClass, VarietyData
@@ -33,12 +32,14 @@ GROUP_LOW_LABEL = "1-7.4"
 GROUP_HIGH_LABEL = "7.6-7.9"
 
 
-@dataclass(frozen=True, slots=True)
-class AdjunctionLabel:
-    group: str
-    exact: str | None
-    th2: str | None
-    certainty: str  # "exact" or "coarse-group"
+class AdjunctionLabel(Frozen):
+    __slots__ = __match_args__ = ("group", "exact", "th2", "certainty")
+
+    def __init__(self, group: str, exact: str | None, th2: str | None, certainty: str) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "th2", th2)
+        object.__setattr__(self, "certainty", certainty)  # "exact" or "coarse-group"
 
     def to_string(self) -> str:
         if self.exact is not None:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
+
+from ._value import Record
 
 
 def fmt(value) -> str:
@@ -28,14 +29,24 @@ def fmt(value) -> str:
     return str(value)
 
 
-@dataclass(slots=True)
-class Check:
-    name: str
-    passed: bool | None  # None means abstained
-    expected: str = ""
-    actual: str = ""
-    inputs: dict[str, str] = field(default_factory=dict)
-    note: str = ""
+class Check(Record):
+    __slots__ = __match_args__ = ("name", "passed", "expected", "actual", "inputs", "note")
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool | None,  # None means abstained
+        expected: str = "",
+        actual: str = "",
+        inputs: dict[str, str] | None = None,
+        note: str = "",
+    ) -> None:
+        self.name = name
+        self.passed = passed
+        self.expected = expected
+        self.actual = actual
+        self.inputs = {} if inputs is None else inputs
+        self.note = note
 
     @property
     def abstained(self) -> bool:
@@ -83,11 +94,15 @@ def _check_json(c: Check) -> str:
     )
 
 
-@dataclass(slots=True)
-class VerificationReport:
-    title: str
-    checks: list[Check] = field(default_factory=list)
-    annotations: list[str] = field(default_factory=list)
+class VerificationReport(Record):
+    __slots__ = __match_args__ = ("title", "checks", "annotations")
+
+    def __init__(
+        self, title: str, checks: list[Check] | None = None, annotations: list[str] | None = None
+    ) -> None:
+        self.title = title
+        self.checks = [] if checks is None else checks
+        self.annotations = [] if annotations is None else annotations
 
     def add(
         self,

@@ -15,10 +15,10 @@ members.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterable
 from math import gcd
-from typing import Iterable
 
+from ._value import Frozen
 from .errors import InputError
 from .hrr import h0_certified
 from .variety import DivisorClass, VarietyData
@@ -26,11 +26,13 @@ from .variety import DivisorClass, VarietyData
 CLOSURE_MAX_BOUND = 10**7  # the largest bound ``closure`` allocates flags for
 
 
-@dataclass(frozen=True, slots=True)
-class SemigroupSet:
+class SemigroupSet(Frozen):
     """A finite, additively closed set of positive integers up to a bound."""
 
-    members: tuple[int, ...]
+    __slots__ = __match_args__ = ("members",)
+
+    def __init__(self, members: tuple[int, ...]) -> None:
+        object.__setattr__(self, "members", members)
 
     def __contains__(self, value: int) -> bool:
         i = bisect_left(self.members, value)

@@ -13,7 +13,6 @@ only defaults; ``run_suites`` passes on only what its caller gave.
 
 from __future__ import annotations
 
-import inspect
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -30,17 +29,19 @@ from .variety import (
     standard_catalog,
 )
 
-SUITE_NAMES = (
-    "difference",
-    "jumps",
-    "additivity",
-    "bounds",
-    "integrality",
-    "closed",
-    "c2bound",
-    "g0",
-    "serre",
-)
+# each suite, in run order, with the keyword arguments of its function beyond ``entries``
+SUITE_ARGUMENTS = {
+    "difference": ("draws", "seed"),
+    "jumps": ("m_max",),
+    "additivity": ("draws", "seed"),
+    "bounds": ("m_max",),
+    "integrality": (),
+    "closed": ("draws", "seed"),
+    "c2bound": ("draws", "seed"),
+    "g0": ("draws", "seed"),
+    "serre": ("draws", "seed"),
+}
+SUITE_NAMES = tuple(SUITE_ARGUMENTS)
 
 
 @lru_cache(maxsize=1)
@@ -390,11 +391,9 @@ def run_suites(
     unknown = [name for name in names if name not in SUITE_NAMES]
     if unknown:
         raise InputError(f"unknown suite {unknown[0]!r}; choose from {SUITE_NAMES}")
-    # suites are looked up by name at each run, so a rebound suite is the one run
-    takes = {name: inspect.signature(globals()[f"suite_{name}"]).parameters for name in names}
     given = {"draws": draws, "seed": seed, "m_max": m_max}
     for key, value in given.items():
-        if value is not None and not any(key in params for params in takes.values()):
+        if value is not None and not any(key in SUITE_ARGUMENTS[name] for name in names):
             label, reason = _ARGUMENTS[key]
             raise InputError(f"{label} does not apply to {'+'.join(names)}: {reason}")
     if draws is not None and draws < 1:
@@ -403,6 +402,7 @@ def run_suites(
         raise InputError(f"m_max must be at least 2, not {m_max}")
     merged = VerificationReport(title="+".join(names))
     for name in names:
-        kwargs = {k: v for k, v in given.items() if v is not None and k in takes[name]}
+        kwargs = {k: v for k, v in given.items() if v is not None and k in SUITE_ARGUMENTS[name]}
+        # looked up by name at each run, so a rebound suite is the one run
         merged.extend(globals()[f"suite_{name}"](**kwargs))
     return merged

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
@@ -43,6 +42,7 @@ from math import comb, factorial, prod
 from operator import add, neg, sub
 from pathlib import Path
 
+from ._value import Frozen
 from .binpoly import _monomials, simplex
 from .errors import AbstainError, InputError, ModelError
 from .report import VerificationReport
@@ -51,11 +51,13 @@ from .report import VerificationReport
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True, slots=True)
-class DivisorClass:
+class DivisorClass(Frozen):
     """Integer coefficient vector over a variety's generator classes."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = __match_args__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        _set_coeffs(self, coeffs)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if len(other.coeffs) != len(self.coeffs):
@@ -76,60 +78,95 @@ class DivisorClass:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True, slots=True)
-class AdjointDeclaration:
+_set_coeffs = DivisorClass.coeffs.__set__  # the slot's own setter, past the frozen __setattr__
+
+
+class AdjointDeclaration(Frozen):
     """Declared data for one polarization L: kappa(K + a L) by twist a (None: undeclared)."""
 
-    kappa: dict[int, "int | float | None"]
-    fine_type: str | None = None
+    __slots__ = __match_args__ = ("kappa", "fine_type")
+
+    def __init__(self, kappa: dict[int, int | float | None], fine_type: str | None = None) -> None:
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "fine_type", fine_type)
 
 
-@dataclass(frozen=True, eq=False)
-class VarietyData:
-    """Immutable numerical model of a polarized variety."""
+class VarietyData(Frozen):
+    """Immutable numerical model of a polarized variety.
 
-    name: str
-    dim: int
-    generators: tuple[str, ...]
-    intersection_form: dict[tuple[int, ...], int]
-    canonical: DivisorClass
-    c2_pairings: dict[tuple[int, ...], int]
-    hodge: tuple[int, ...]
-    kappa_x: "int | float | None" = None
-    kappa_adjoint: dict[str, AdjointDeclaration] = field(default_factory=dict)
-    h0_oracle: str | None = None
-    polarization: DivisorClass | None = None
+    A plain class like the other value types (see ``_value``), but compared
+    and hashed by identity, and with a ``__dict__`` that holds its fields and
+    its ``cached_property`` forms.  The constructor refuses an inconsistent
+    model; ``replace`` builds a changed copy through it, so the copy is
+    checked the same way.
+    """
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.dim <= 4:
-            raise InputError(f"dimension must be 1..4, got {self.dim}")
-        if len(self.hodge) != self.dim + 1:
+    __match_args__ = (
+        "name", "dim", "generators", "intersection_form", "canonical", "c2_pairings", "hodge",
+        "kappa_x", "kappa_adjoint", "h0_oracle", "polarization",
+    )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        generators: tuple[str, ...],
+        intersection_form: dict[tuple[int, ...], int],
+        canonical: DivisorClass,
+        c2_pairings: dict[tuple[int, ...], int],
+        hodge: tuple[int, ...],
+        kappa_x: int | float | None = None,
+        kappa_adjoint: dict[str, AdjointDeclaration] | None = None,
+        h0_oracle: str | None = None,
+        polarization: DivisorClass | None = None,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "intersection_form", intersection_form)
+        object.__setattr__(self, "canonical", canonical)
+        object.__setattr__(self, "c2_pairings", c2_pairings)
+        object.__setattr__(self, "hodge", hodge)
+        object.__setattr__(self, "kappa_x", kappa_x)
+        object.__setattr__(self, "kappa_adjoint", {} if kappa_adjoint is None else kappa_adjoint)
+        object.__setattr__(self, "h0_oracle", h0_oracle)
+        object.__setattr__(self, "polarization", polarization)
+        if not 1 <= dim <= 4:
+            raise InputError(f"dimension must be 1..4, got {dim}")
+        if len(hodge) != dim + 1:
             raise InputError("hodge vector must have length dim + 1")
-        if self.hodge[0] != 1:
+        if hodge[0] != 1:
             raise ModelError("h^0(O) must be 1 (connectedness)")
-        if any(h < 0 for h in self.hodge):
+        if any(h < 0 for h in hodge):
             raise InputError("Hodge numbers must be non-negative")
-        g = len(self.generators)
-        if len(self.canonical.coeffs) != g:
+        g = len(generators)
+        if len(canonical.coeffs) != g:
             raise InputError("canonical class has wrong length")
         for what, table, degree in (
-            ("intersection", self.intersection_form, self.dim),
-            ("c2", self.c2_pairings, self.dim - 2),
+            ("intersection", intersection_form, dim),
+            ("c2", c2_pairings, dim - 2),
         ):
             monomials = _monomials(g, degree) if degree >= 0 else ()
             missing = next((m for m in monomials if m not in table), None)
             if missing is not None:
-                raise InputError(f"{self.name} {what} table is missing monomial {missing}")
+                raise InputError(f"{name} {what} table is missing monomial {missing}")
             if len(table) != len(monomials):
                 key = next(k for k in table if k not in monomials)
                 raise InputError(
-                    f"{self.name} {what} table key {key} is not a monomial of degree {degree}"
+                    f"{name} {what} table key {key} is not a monomial of degree {degree}"
                 )
-        if self.polarization is not None:
-            if len(self.polarization.coeffs) != g:
+        if polarization is not None:
+            if len(polarization.coeffs) != g:
                 raise InputError("polarization has wrong length")
-            if not self.is_ample(self.polarization):
-                raise InputError(f"polarization {self.polarization.coeffs} is not ample")
+            if not self.is_ample(polarization):
+                raise InputError(f"polarization {polarization.coeffs} is not ample")
+
+    def replace(self, **changes) -> VarietyData:
+        """This model with the named fields changed, built and checked by the constructor."""
+        fields = {name: getattr(self, name) for name in self.__match_args__}
+        return VarietyData(**{**fields, **changes})
 
     # -- basic queries ---------------------------------------------------
 
@@ -285,12 +322,14 @@ _TODD = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class CompiledChi:
+class CompiledChi(Frozen):
     """denom * chi(x_1 G_1 + ... + x_g G_g) as a nested Horner form (see ``_nest``)."""
 
-    denom: int
-    horner: tuple
+    __slots__ = __match_args__ = ("denom", "horner")
+
+    def __init__(self, denom: int, horner: tuple) -> None:
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "horner", horner)
 
 
 def _compile(v: VarietyData, terms: tuple, constant: int = 0) -> tuple:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -103,7 +102,7 @@ def test_difference_certification(x6):
 
 def test_nonvanishing_report_abstains_without_a_certified_route(x6):
     # no oracle, and H^4 = 0 leaves mH - K not big: no count can be certified
-    v = dataclasses.replace(x6, h0_oracle=None, intersection_form={(4,): 0})
+    v = x6.replace(h0_oracle=None, intersection_form={(4,): 0})
     rows = {c.name: (c.passed, c.note) for c in nonvanishing_report(v, v.divisor("1H"), 4).checks}
     for m in (3, 4):
         assert rows[f"nonvanishing[m={m}]"] == (None, "X6 has no exact section-count oracle")
@@ -237,9 +236,7 @@ def test_check_multiple_bound_report_fields(x6):
 def test_check_multiple_bound_preconditions(p4, x6):
     with pytest.raises(InputError):
         check_multiple_bound(p4, p4.divisor("1H"), 4)  # kappa(X) = -inf
-    import dataclasses
-
-    undeclared = dataclasses.replace(x6, kappa_x=None)
+    undeclared = x6.replace(kappa_x=None)
     with pytest.raises(AbstainError):
         check_multiple_bound(undeclared, undeclared.divisor("1H"), 4)
 

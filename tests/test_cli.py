@@ -1,5 +1,8 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -555,3 +558,21 @@ def test_abstention_prints_a_one_row_report(capsys, command):
     code, out, _ = run(capsys, "--format", "table", *argv)
     assert code == 0
     assert out.startswith(f"# {command}\n") and "total=1 passed=0 failed=0 abstained=1" in out
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_typing():
+    # every CLI run pays for its imports; these three cost about 20 ms of start-up, and
+    # nothing in the package needs them, neither at import nor while verifying
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from secgenus.cli import main\n"
+        "code = main(['--format', 'json', 'verify', '--suite', 'bounds'])\n"
+        "print(code, sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert json.loads(done.stdout.rpartition("}")[0] + "}")["suite"] == "bounds"
+    assert done.stdout.splitlines()[-1] == "0 []"

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import random
 import weakref
@@ -107,7 +106,7 @@ def test_chi_h_table_rejects_wrong_length(p1xp3):
 def _x6_c2_91(x6):
     # c2.H^2 = 91 instead of 90 (K = 0): 24 chi(tH) = 48 + 6t^4 + 91t^2 is divisible by 24
     # at t = 0, 12 and 24 but not at t = 1, 2 or 3
-    return dataclasses.replace(x6, c2_pairings={(2,): 91})
+    return x6.replace(c2_pairings={(2,): 91})
 
 
 def _chi_H_table_reference(v, bundles, max_size=None):
@@ -196,7 +195,7 @@ def test_genus_from_chi_h_equals_the_signed_sum(catalog):
     for v in list(models):
         for _ in range(4):
             hodge = (1, *(rng.randint(0, 40) for _ in range(v.dim)))
-            models.append(dataclasses.replace(v, hodge=hodge))
+            models.append(v.replace(hodge=hodge))
     for v in models:
         for i in range(v.dim + 1):
             for chi_h in (0, v.chi_o, rng.randint(-500, 500)):

@@ -1,6 +1,5 @@
 """One case per input guard that no other test reaches, each with its message."""
 
-import dataclasses
 import re
 
 import pytest
@@ -13,10 +12,10 @@ from secgenus.adjoint import (
 )
 from secgenus.binpoly import BinBasisPoly, coefficients_from_oracle
 from secgenus.errors import AbstainError, InputError
-from secgenus.genus import additivity_residual, g1_closed, g2_adjoint_closed
+from secgenus.genus import additivity_residual, chi_H_i, g1_closed, g2_adjoint_closed
 from secgenus.semigroup import closure, guaranteed_threshold
 from secgenus.suites import get_catalog
-from secgenus.variety import DivisorClass, VarietyData, c2_pair, load_variety, parse_divisor
+from secgenus.variety import DivisorClass, c2_pair, load_variety, parse_divisor
 
 CATALOG = get_catalog()
 P1, P3, X6 = CATALOG["P1"], CATALOG["P3"], CATALOG["X6"]
@@ -24,15 +23,11 @@ H = X6.divisor("1H")
 H3 = P3.divisor("1H")
 
 
-def _variety(**changes):
-    return dataclasses.replace(X6, **changes)
-
-
 CASES = [
-    ("dim 5", lambda: _variety(dim=5), InputError, "dimension must be 1..4, got 5"),
+    ("dim 5", lambda: X6.replace(dim=5), InputError, "dimension must be 1..4, got 5"),
     (
         "negative hodge",
-        lambda: _variety(hodge=(1, 0, -1, 0, 1)),
+        lambda: X6.replace(hodge=(1, 0, -1, 0, 1)),
         InputError,
         "Hodge numbers must be non-negative",
     ),
@@ -64,6 +59,19 @@ CASES = [
         InputError,
         "expression is 4-fold only",
     ),
+    ("chi_H_i index", lambda: chi_H_i(X6, 5, []), InputError, "index i must be in 0..4, got 5"),
+    (
+        "chi_H_i bundles",
+        lambda: chi_H_i(X6, 2, [H]),
+        InputError,
+        "need 2 bundles for i=2 on X6, got 1",
+    ),
+    (
+        "additivity_residual index",
+        lambda: additivity_residual(X6, 4, H, H, []),
+        InputError,
+        "index i must be in 1..3, got 4",
+    ),
     (
         "additivity_residual rest",
         lambda: additivity_residual(X6, 1, H, H, []),
@@ -72,7 +80,7 @@ CASES = [
     ),
     (
         "check_multiple_bound K+L",
-        lambda: check_multiple_bound(_variety(canonical=DivisorClass((-2,)), kappa_x=0), H, 4),
+        lambda: check_multiple_bound(X6.replace(canonical=DivisorClass((-2,)), kappa_x=0), H, 4),
         InputError,
         "K + L is not nef on X6 for L = 1H",
     ),

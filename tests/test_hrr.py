@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import re
@@ -182,11 +181,11 @@ def test_h0_certified_counts_by_vanishing(p4, x6):
     assert h0_certified(x6, x6.divisor("3H")) == (56, "kawamata-viehweg")
     # -1H - K_X is not nef and big: the vanishing rule does not certify it
     assert h0_certified(x6, x6.divisor("-1H"))[1] == "family-oracle"
-    bare = dataclasses.replace(x6, h0_oracle=None)
+    bare = x6.replace(h0_oracle=None)
     with pytest.raises(AbstainError):
         h0_certified(bare, bare.divisor("-1H"))
     # chi(O) = 2 - 10 makes chi(1H) = -4 where the vanishing rule holds
-    broken = dataclasses.replace(x6, hodge=(1, 0, 0, 10, 1))
+    broken = x6.replace(hodge=(1, 0, 0, 10, 1))
     with pytest.raises(ModelError, match=r"^certified h\^0\(1H\) on X6 came out negative \(-4\)$"):
         h0_certified(broken, broken.divisor("1H"))
 
@@ -272,7 +271,7 @@ def test_missing_monomial_names_it(capsys, tmp_path, catalog):
     path = tmp_path / "model.json"
     refused = 0
     for v in [*catalog.values(), _p1xp1xp2()]:
-        fields = {f.name: getattr(v, f.name) for f in dataclasses.fields(v)}
+        fields = {name: getattr(v, name) for name in VarietyData.__match_args__}
         argv = ["chi", "--variety", str(path), "--divisor", v.divisor_string(v.polarization)]
         for field, member, what, spelled, below in _TABLES:
             table, degree = getattr(v, field), v.dim - below
@@ -286,7 +285,7 @@ def test_missing_monomial_names_it(capsys, tmp_path, catalog):
             for key, changed, fault in cases:
                 message = f"{v.name} {what} table {fault}"
                 assert _refusal(VarietyData, **{**fields, field: changed}) == message
-                assert _refusal(dataclasses.replace, v, **{field: changed}) == message
+                assert _refusal(v.replace, **{field: changed}) == message
                 blob = variety_to_json(v)
                 spelling = _monomial_to_string(key, v.generators)
                 if key == wrong:  # the boundary names the key as the file spells it
@@ -303,14 +302,14 @@ def test_missing_monomial_names_it(capsys, tmp_path, catalog):
                 refused += 1
     assert refused == 37 + 21 + 2 * 14  # catalog keys, P1xP1xP2 keys, a wrong key per table
     x6 = catalog["X6"]  # a key of the right degree over the wrong generator count
-    assert _refusal(dataclasses.replace, x6, intersection_form={(4,): 6, (2, 2): 6}) == (
+    assert _refusal(x6.replace, intersection_form={(4,): 6, (2, 2): 6}) == (
         "X6 intersection table key (2, 2) is not a monomial of degree 4"
     )
 
 
 def test_non_integer_valued_chi_fails_integrality(x6):
     # c2.H^2 = 91 instead of 90: 24 chi(tH) = 48 + 6t^4 + 91t^2 is odd at t = 1
-    planted = dataclasses.replace(x6, c2_pairings={(2,): 91})
+    planted = x6.replace(c2_pairings={(2,): 91})
     with pytest.raises(ModelError, match="non-integer coefficients"):
         chi_multi(planted, [planted.polarization])
     # the suite's one row is validate's row, with the model's name
@@ -327,7 +326,7 @@ def test_non_integer_valued_chi_fails_integrality(x6):
 def test_validate_reads_chi_on_the_lattice_without_a_polarization(x6):
     # the integrality row needs no L, and the section-count rows show chi exactly:
     # 24 chi(tH) = 48 + 6t^4 + 91t^2 at t = 1, 2, 3
-    planted = dataclasses.replace(x6, c2_pairings={(2,): 91}, polarization=None)
+    planted = x6.replace(c2_pairings={(2,): 91}, polarization=None)
     failed = {c.name: (c.expected, c.actual) for c in validate(planted).checks if c.passed is False}
     assert failed == {
         "chi(1*(1H)) matches section count": ("6", "145/24"),
@@ -338,7 +337,7 @@ def test_validate_reads_chi_on_the_lattice_without_a_polarization(x6):
 
 
 def test_non_integer_coefficients_print_in_multi_index_order(x6):
-    planted = dataclasses.replace(x6, c2_pairings={(2,): 91})
+    planted = x6.replace(c2_pairings={(2,): 91})
     bundles = [planted.divisor(text) for text in ("1H", "2H", "-1H")]
     with pytest.raises(ModelError) as raised:
         chi_multi(planted, bundles)
@@ -460,7 +459,7 @@ def test_three_generator_missing_monomial_message():
     v = _p1xp1xp2()
     message = "P1xP1xP2 intersection table is missing monomial (1, 1, 2)"
     gapped = {k: x for k, x in v.intersection_form.items() if k != (1, 1, 2)}
-    assert _refusal(dataclasses.replace, v, intersection_form=gapped) == message
+    assert _refusal(v.replace, intersection_form=gapped) == message
     blob = variety_to_json(v)
     del blob["intersections"]["a b c^2"]
     assert _refusal(variety_from_json, blob) == message
@@ -501,8 +500,7 @@ def _genus_models(catalog):
         g = len(v.generators)
         for _ in range(3):
             models.append(
-                dataclasses.replace(
-                    v,
+                v.replace(
                     intersection_form={e: rng.randint(-5, 5) for e in _monomials(g, v.dim)},
                     canonical=DivisorClass(tuple(rng.randint(-4, 4) for _ in range(g))),
                 )
@@ -564,7 +562,7 @@ def test_compile_chi_matches_pairing_reference_on_random_tables():
 
 def test_h0_certified_takes_kawamata_viehweg_exactly_where_d_minus_k_is_nef_and_big(catalog):
     for v in catalog.values():
-        bare = dataclasses.replace(v, h0_oracle=None)
+        bare = v.replace(h0_oracle=None)
         for coeffs in product(range(-4, 5), repeat=len(v.generators)):
             d = DivisorClass(coeffs)
             if v.is_nef_and_big(d - v.canonical):
@@ -578,7 +576,7 @@ def test_h0_certified_takes_kawamata_viehweg_exactly_where_d_minus_k_is_nef_and_
 
 
 def test_h0_certified_abstains_without_either_route(x6):
-    bare = dataclasses.replace(x6, h0_oracle=None)
+    bare = x6.replace(h0_oracle=None)
     assert h0_certified(bare, bare.divisor("1H")) == (6, "kawamata-viehweg")
     with pytest.raises(AbstainError, match=r"^X6 has no exact section-count oracle$"):
         h0_certified(bare, bare.divisor("-1H"))

@@ -1,4 +1,3 @@
-import dataclasses
 from itertools import combinations
 from math import gcd
 
@@ -170,12 +169,10 @@ def test_empirical_min_r_contract(x6, p4):
 
 
 def test_empirical_min_r_abstention(x6):
-    import dataclasses
-
     # strip both certification routes: kill the oracle and make the canonical
     # class unreachable for the vanishing rule (K itself stays nef here, so
     # use a variety whose adjoint multiples cannot be certified)
-    no_oracle = dataclasses.replace(x6, h0_oracle=None)
+    no_oracle = x6.replace(h0_oracle=None)
     # m(K+L) = mH with K = 0: D - K = mH is nef and big, so vanishing still
     # certifies; the abstention path needs the zero polarization instead
     entries = [(no_oracle, no_oracle.divisor("0H"))]
@@ -185,6 +182,6 @@ def test_empirical_min_r_abstention(x6):
 
 def test_empirical_min_r_abstains_with_the_oracle_text(x6):
     # h0_certified's abstention passes through unchanged; its text already names the model
-    no_oracle = dataclasses.replace(x6, h0_oracle=None)
+    no_oracle = x6.replace(h0_oracle=None)
     with pytest.raises(AbstainError, match=r"^X6 has no exact section-count oracle$"):
         empirical_min_r([(no_oracle, no_oracle.divisor("0H"))], 3)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import hashlib
 import inspect
@@ -10,6 +9,7 @@ import pytest
 from secgenus import adjoint, binpoly, hrr, suites
 from secgenus.errors import AbstainError, InputError, ModelError
 from secgenus.suites import (
+    SUITE_ARGUMENTS,
     SUITE_NAMES,
     run_suites,
     suite_additivity,
@@ -25,14 +25,14 @@ from secgenus.variety import _non_integer_point, validate
 
 def _x6_c2_91(x6):
     # c2.H^2 = 91 instead of 90 makes chi(-1H) = 145/24, a ModelError on evaluation
-    return dataclasses.replace(x6, c2_pairings={(2,): 91})
+    return x6.replace(c2_pairings={(2,): 91})
 
 
 def _p2xp2_without_40(catalog):
     # refused when built: no suite can be given a model with a gap in a table
     p2xp2 = catalog["P2xP2"]
     form = {exps: val for exps, val in p2xp2.intersection_form.items() if exps != (4, 0)}
-    return dataclasses.replace(p2xp2, intersection_form=form)
+    return p2xp2.replace(intersection_form=form)
 
 
 def test_every_named_suite_passes():
@@ -241,6 +241,15 @@ def test_run_suites_dispatches_through_the_module(monkeypatch):
     assert seen == [{}, {"draws": 3, "seed": 5}]
 
 
+def test_suite_argument_table_matches_the_signatures():
+    # run_suites reads what each suite takes from this table, not from the suite's
+    # signature, so a suite rebound by a (*args, **kwargs) wrapper still gets its arguments
+    assert SUITE_NAMES == tuple(SUITE_ARGUMENTS)
+    for name, takes in SUITE_ARGUMENTS.items():
+        params = inspect.signature(getattr(suites, f"suite_{name}")).parameters
+        assert list(params) == ["entries", *takes], name
+
+
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_run_suites_keeps_each_suites_own_defaults(name):
     assert run_suites([name]).to_json() == getattr(suites, f"suite_{name}")().to_json()
@@ -263,7 +272,7 @@ def _single_entry_plants(catalog, names, fields=("intersection_form", "c2_pairin
             for key in sorted(table):
                 for offset in _OFFSETS:
                     planted = {**table, key: table[key] + offset}
-                    plants.append(dataclasses.replace(v, **{field: planted}))
+                    plants.append(v.replace(**{field: planted}))
     return plants
 
 
@@ -311,7 +320,7 @@ def test_integrality_kills_at_least_what_its_seeded_draws_killed(catalog):
             for key in table:
                 kept = {k: x for k, x in table.items() if k != key}
                 with pytest.raises(InputError, match=rf"^{v.name} {what} table is missing"):
-                    dataclasses.replace(v, **{field: kept})
+                    v.replace(**{field: kept})
                 refused += 1
     assert refused == 37
     assert failed + refused >= 236

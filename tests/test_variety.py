@@ -1,8 +1,9 @@
 import ast
-import dataclasses
+import copy
 import hashlib
 import importlib
 import json
+import pickle
 import pkgutil
 import random
 import re
@@ -17,13 +18,20 @@ from hypothesis import strategies as st
 
 import secgenus
 from secgenus import hrr
+from secgenus.adjoint import C2Check, CubicParams, DifferenceRequest
+from secgenus.binpoly import BinBasisPoly
+from secgenus.classify import AdjunctionLabel
 from secgenus.errors import AbstainError, InputError, ModelError
 from secgenus.genus import g1_closed
 from secgenus.classify import classify_variety
 from secgenus.hrr import chi_divisor, chi_multi, h0_certified
+from secgenus.report import Check, VerificationReport
+from secgenus.semigroup import SemigroupSet
 from secgenus.suites import get_catalog
 from secgenus.variety import (
     NEG_INF,
+    AdjointDeclaration,
+    CompiledChi,
     DivisorClass,
     VarietyData,
     _horner,
@@ -209,9 +217,7 @@ def test_catalog_json_is_pinned():
 
 
 def test_h0_exact_without_oracle(x6):
-    import dataclasses
-
-    bare = dataclasses.replace(x6, h0_oracle=None)
+    bare = x6.replace(h0_oracle=None)
     with pytest.raises(AbstainError):
         h0_exact(bare, bare.divisor("1H"))
 
@@ -243,7 +249,7 @@ def test_validate_section_rows_start_above_the_canonical_class(tag, canonical, m
     # a row compares chi(m L) with the oracle only where mL - K is ample
     v = catalog_build(tag)
     if canonical is not None:
-        v = dataclasses.replace(v, canonical=DivisorClass(canonical))
+        v = v.replace(canonical=DivisorClass(canonical))
     report = validate(v)
     label = v.divisor_string(v.polarization)
     names = [c.name for c in report.checks if "section count" in c.name]
@@ -252,9 +258,7 @@ def test_validate_section_rows_start_above_the_canonical_class(tag, canonical, m
 
 
 def test_validate_catches_corrupted_form(x6):
-    import dataclasses
-
-    corrupted = dataclasses.replace(x6, intersection_form={(4,): 5})
+    corrupted = x6.replace(intersection_form={(4,): 5})
     report = validate(corrupted)
     assert not report.passed
 
@@ -262,7 +266,7 @@ def test_validate_catches_corrupted_form(x6):
 def test_parity_check_can_fail(x6):
     # H^4 = 7 with K = 0 makes (K+3L)L^3 = 21 c^4 at L = cH: odd at c = 1, 3.
     # An odd value makes chi non-integral somewhere, so the lattice row refuses it
-    odd = dataclasses.replace(x6, intersection_form={(4,): 7})
+    odd = x6.replace(intersection_form={(4,): 7})
     rows = {c.name: (c.passed, c.actual) for c in validate(odd).checks}
     assert rows["chi expansion integral"] == (False, "chi(1H) = 145/24")
     assert not any("L^3 even" in name for name in rows)
@@ -275,8 +279,7 @@ def test_parity_rows_cover_every_class_mod_2(catalog):
     # (K+3L)L^3 mod 2 depends only on L mod 2; on this P2xP2 it is odd only at
     # L = (0, 1) mod 2, where the all-ones L does not look.  The lattice row reads
     # chi at every class, so it refuses the model without a parity row per class
-    planted = dataclasses.replace(
-        catalog["P2xP2"],
+    planted = catalog["P2xP2"].replace(
         intersection_form={(4, 0): 0, (3, 1): 0, (2, 2): 1, (1, 3): 3, (0, 4): 3},
     )
     rows = {c.name: (c.passed, c.actual) for c in validate(planted).checks}
@@ -323,10 +326,10 @@ def test_parity_is_an_integer_combination_of_chi(catalog):
 
 
 def test_validate_compiles_only_chi():
-    # the per-model caches are the names in vars(v) that are not dataclass fields: validate
+    # the per-model caches are the names in vars(v) that are not fields: validate
     # compiles chi, and a whole ``models`` benchmark op adds only the D^n form
     v = catalog_build("hypersurface:6")
-    fields = {f.name for f in dataclasses.fields(v)}
+    fields = set(VarietyData.__match_args__)
     assert validate(v).passed
     assert set(vars(v)) - fields == {"chi_o", "chi_polynomial"}
     ell = v.polarization
@@ -350,7 +353,7 @@ def test_validate_lattice_check_agrees_with_chi_multi(catalog):
             table = getattr(v, field)
             for key in table:
                 for offset in range(1, 24):
-                    planted = dataclasses.replace(v, **{field: {**table, key: table[key] + offset}})
+                    planted = v.replace(**{field: {**table, key: table[key] + offset}})
                     checks = validate(planted).checks
                     [check] = [c for c in checks if c.name == "chi expansion integral"]
                     assert check.expected == "integer coefficients"
@@ -374,7 +377,7 @@ def test_validate_makes_no_call_into_hrr(monkeypatch, catalog, x6):
     calls = []
     for name in ("chi_divisor", "chi_multi"):
         monkeypatch.setattr(hrr, name, lambda *args, name=name: calls.append(name))
-    planted = dataclasses.replace(x6, c2_pairings={(2,): 91})
+    planted = x6.replace(c2_pairings={(2,): 91})
     for v in [*catalog.values(), planted]:
         validate(v)
     assert calls == []
@@ -392,31 +395,239 @@ def test_divisor_class_arithmetic():
             with pytest.raises(InputError) as raised:
                 op(x, y)
             assert str(raised.value) == "divisor classes live on different generator lists"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         a.coeffs = (0, 0)
     assert a == DivisorClass((2, -3)) and a != b and a != (2, -3)
     assert hash(a) == hash(DivisorClass((2, -3))) == hash(((2, -3),))
     assert len({a, DivisorClass((2, -3)), a - b + b}) == 1
 
 
-def _dataclasses_in_secgenus() -> dict[str, type]:
+_P1 = {
+    "name": "P1",
+    "dim": 1,
+    "generators": ("H",),
+    "intersection_form": {(1,): 1},
+    "canonical": DivisorClass((-2,)),
+    "c2_pairings": {},
+    "hodge": (1, 0),
+}
+_P1_REPR = (
+    "VarietyData(name='P1', dim=1, generators=('H',), intersection_form={(1,): 1}, "
+    "canonical=DivisorClass(coeffs=(-2,)), c2_pairings={}, hodge=(1, 0)"
+)
+_P1_MODEL = VarietyData(**_P1)
+
+# (class, fields in order, a field changed, repr, frozen, hashable); fields left out
+# of a row keep their defaults, which the repr shows
+_VALUE_TYPES = [
+    (DivisorClass, {"coeffs": (1, -2)}, {"coeffs": (1, 2)}, "DivisorClass(coeffs=(1, -2))", True, True),
+    (
+        CompiledChi,
+        {"denom": 24, "horner": ((1, 2), (3,))},
+        {"denom": 12},
+        "CompiledChi(denom=24, horner=((1, 2), (3,)))",
+        True,
+        True,
+    ),
+    (
+        AdjointDeclaration,
+        {"kappa": {1: None}},
+        {"kappa": {1: 0}},
+        "AdjointDeclaration(kappa={1: None}, fine_type=None)",
+        True,
+        False,
+    ),
+    (
+        AdjointDeclaration,
+        {"kappa": {1: 0}, "fine_type": "7.5"},
+        {"fine_type": "7.6"},
+        "AdjointDeclaration(kappa={1: 0}, fine_type='7.5')",
+        True,
+        False,
+    ),
+    (
+        VarietyData,
+        _P1,
+        {"name": "Q"},
+        _P1_REPR + ", kappa_x=None, kappa_adjoint={}, h0_oracle=None, polarization=None)",
+        True,
+        True,
+    ),
+    (
+        VarietyData,
+        {
+            **_P1,
+            "kappa_x": NEG_INF,
+            "kappa_adjoint": {"1H": AdjointDeclaration({1: 0}, "x")},
+            "h0_oracle": "pn",
+            "polarization": DivisorClass((1,)),
+        },
+        {"h0_oracle": None},
+        _P1_REPR + ", kappa_x=-inf, kappa_adjoint={'1H': AdjointDeclaration(kappa={1: 0}, "
+        "fine_type='x')}, h0_oracle='pn', polarization=DivisorClass(coeffs=(1,)))",
+        True,
+        True,
+    ),
+    (
+        BinBasisPoly,
+        {"arity": 2, "max_degree": 3},
+        {"max_degree": 2},
+        "BinBasisPoly(arity=2, max_degree=3, coeffs={})",
+        True,
+        False,
+    ),
+    (
+        BinBasisPoly,
+        {"arity": 2, "max_degree": 3, "coeffs": {(1, 0): Fraction(2)}},
+        {"coeffs": {(1, 0): Fraction(3)}},
+        "BinBasisPoly(arity=2, max_degree=3, coeffs={(1, 0): Fraction(2, 1)})",
+        True,
+        False,
+    ),
+    (
+        Check,
+        {"name": "c", "passed": True},
+        {"passed": False},
+        "Check(name='c', passed=True, expected='', actual='', inputs={}, note='')",
+        False,
+        False,
+    ),
+    (
+        Check,
+        {"name": "c", "passed": None, "expected": "1", "actual": "2", "inputs": {"a": "b"}, "note": "n"},
+        {"note": ""},
+        "Check(name='c', passed=None, expected='1', actual='2', inputs={'a': 'b'}, note='n')",
+        False,
+        False,
+    ),
+    (
+        VerificationReport,
+        {"title": "t"},
+        {"title": "u"},
+        "VerificationReport(title='t', checks=[], annotations=[])",
+        False,
+        False,
+    ),
+    (
+        VerificationReport,
+        {"title": "t", "checks": [Check("c", False)], "annotations": ["x"]},
+        {"annotations": []},
+        "VerificationReport(title='t', checks=[Check(name='c', passed=False, expected='', "
+        "actual='', inputs={}, note='')], annotations=['x'])",
+        False,
+        False,
+    ),
+    (
+        AdjunctionLabel,
+        {"group": "1-7.4", "exact": None, "th2": "1", "certainty": "coarse-group"},
+        {"exact": "2"},
+        "AdjunctionLabel(group='1-7.4', exact=None, th2='1', certainty='coarse-group')",
+        True,
+        True,
+    ),
+    (
+        DifferenceRequest,
+        {"variety": _P1_MODEL, "big_bundles": (DivisorClass((1,)),), "nef_bundle": DivisorClass((0,))},
+        {"nef_bundle": DivisorClass((1,))},
+        f"DifferenceRequest(variety={_P1_MODEL!r}, big_bundles=(DivisorClass(coeffs=(1,)),), "
+        "nef_bundle=DivisorClass(coeffs=(0,)))",
+        True,
+        True,
+    ),
+    (
+        C2Check,
+        {"lhs": 1, "rhs_main": Fraction(-1, 8), "rhs_alt": Fraction(2), "holds_main": True, "holds_alt": False},
+        {"holds_alt": True},
+        "C2Check(lhs=1, rhs_main=Fraction(-1, 8), rhs_alt=Fraction(2, 1), holds_main=True, "
+        "holds_alt=False)",
+        True,
+        True,
+    ),
+    (
+        CubicParams,
+        {
+            "d": Fraction(1),
+            "a": Fraction(-1, 2),
+            "b": Fraction(3),
+            "g1": 1,
+            "g2": 2,
+            "gate_value": Fraction(0),
+            "gate_holds": True,
+        },
+        {"g2": 3},
+        "CubicParams(d=Fraction(1, 1), a=Fraction(-1, 2), b=Fraction(3, 1), g1=1, g2=2, "
+        "gate_value=Fraction(0, 1), gate_holds=True)",
+        True,
+        True,
+    ),
+    (SemigroupSet, {"members": (2, 3, 4)}, {"members": (2, 3)}, "SemigroupSet(members=(2, 3, 4))", True, True),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, changed, text, frozen, hashable",
+    _VALUE_TYPES,
+    ids=[f"{row[0].__name__}-{len(row[1])}" for row in _VALUE_TYPES],
+)
+def test_value_type_contract(cls, fields, changed, text, frozen, hashable):
+    # each value type builds the same object from positional and keyword arguments, with
+    # its defaults, and keeps its repr, equality, hash and (im)mutability
+    by_position, by_keyword = cls(*fields.values()), cls(**fields)
+    other = cls(**{**fields, **changed})
+    assert repr(by_position) == repr(by_keyword) == text
+    for copied in (copy.copy(by_position), copy.deepcopy(by_position)):
+        assert type(copied) is cls and repr(copied) == text
+    assert repr(pickle.loads(pickle.dumps(by_position))) == text
+    for name, value in fields.items():
+        assert getattr(by_position, name) == value, name
+    if cls is VarietyData:  # identity equality and hash
+        assert by_position == by_position and by_position != by_keyword
+        assert hash(by_position) == object.__hash__(by_position)
+    else:
+        assert by_position == by_keyword and not by_position != by_keyword
+        assert by_position != other and not by_position == other
+        assert by_position != tuple(fields.values())
+        if hashable:  # every hashable row names all of its fields
+            assert hash(by_position) == hash(by_keyword) == hash(tuple(fields.values()))
+        else:
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(by_position)
+    name, value = next(iter(changed.items()))
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(by_position, name, value)
+        with pytest.raises(AttributeError):
+            delattr(by_position, name)
+        assert repr(by_position) == text
+    else:
+        setattr(by_position, name, value)
+        assert getattr(by_position, name) == value and by_position == other
+
+
+def _classes_in_secgenus() -> dict[str, type]:
+    """Every class other than an exception that a secgenus module defines."""
     classes = {}
     for info in pkgutil.iter_modules(secgenus.__path__):
         module = importlib.import_module(f"secgenus.{info.name}")
         for value in vars(module).values():
-            if dataclasses.is_dataclass(value) and value.__module__ == module.__name__:
+            if (
+                isinstance(value, type)
+                and not issubclass(value, BaseException)
+                and value.__module__ == module.__name__
+            ):
                 classes[value.__qualname__] = value
     return classes
 
 
 def test_value_types_allocate_no_instance_dict():
     # slotted value objects are built on every model's path; VarietyData keeps its
-    # __dict__ because its cached_property forms live there
-    classes = _dataclasses_in_secgenus()
+    # __dict__ because its cached_property forms live there.  Every class is listed, so a
+    # new class without __slots__ fails here
+    classes = _classes_in_secgenus()
     assert set(classes) == {
         "AdjointDeclaration", "AdjunctionLabel", "BinBasisPoly", "C2Check", "Check",
         "CompiledChi", "CubicParams", "DifferenceRequest", "DivisorClass", "SemigroupSet",
-        "VarietyData", "VerificationReport",
+        "VarietyData", "VerificationReport", "Frozen", "Record",
     }
     for name, cls in classes.items():
         has_dict = any("__dict__" in vars(base) for base in cls.__mro__)
@@ -514,14 +725,14 @@ def test_hodge_invariants_enforced():
 
 
 def test_h0_of_o_other_than_one_is_refused_before_validate(x6):
-    fields = {f.name: getattr(x6, f.name) for f in dataclasses.fields(x6)}
+    fields = {name: getattr(x6, name) for name in VarietyData.__match_args__}
     for h0 in (0, 2):
         hodge = (h0, *x6.hodge[1:])
         blob = json.loads(json.dumps(variety_to_json(x6)))
         blob["hodge"] = list(hodge)
         for build in (
             lambda: VarietyData(**{**fields, "hodge": hodge}),
-            lambda: dataclasses.replace(x6, hodge=hodge),
+            lambda: x6.replace(hodge=hodge),
             lambda: variety_from_json(blob),
         ):
             with pytest.raises(ModelError, match=r"^h\^0\(O\) must be 1 \(connectedness\)$"):
